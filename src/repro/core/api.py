@@ -31,15 +31,19 @@ class Binary:
         """This binary's :class:`~repro.isa.descriptor.IsaDescriptor`."""
         return isa_registry.get(self.isa)
 
-    def interpreter(self, collect_trace=False, compiled=None):
+    def interpreter(self, collect_trace=False, compiled=None,
+                    trace_values=False):
         """This binary's functional simulator.
 
         ``compiled`` forces the threaded-code fast path on (``True``), off
         (``False``) or leaves the interpreter's default policy (``None`` —
         on unless ``STRAIGHT_FASTPATH=0`` or the program is incompatible).
+        ``trace_values`` makes the recorded trace keep every instruction's
+        result, which lockstep co-simulation compares at commit.
         """
         return self.descriptor.make_interpreter(
-            self.program, collect_trace=collect_trace, compiled=compiled
+            self.program, collect_trace=collect_trace, compiled=compiled,
+            trace_values=trace_values,
         )
 
 
@@ -143,14 +147,16 @@ def simulate(binary, config, max_steps=50_000_000, warm_caches=False,
     guardrails and a stall accountant are present, the suite additionally
     enforces per-cycle attribution conservation.
     """
-    interp = binary.interpreter(collect_trace=True)
+    if guardrails is None:
+        guardrails = getattr(config, "guardrails", False)
+    # Lockstep compares every committed result, so guarded runs record them.
+    interp = binary.interpreter(collect_trace=True,
+                                trace_values=bool(guardrails))
     result = interp.run(max_steps)
     if result.status == "limit":
         raise SimulationError(
             f"functional run did not finish within {max_steps} steps"
         )
-    if guardrails is None:
-        guardrails = getattr(config, "guardrails", False)
     suite = None
     if guardrails:
         from repro.guardrails import GuardrailSuite, build_guardrails

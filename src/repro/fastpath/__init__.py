@@ -26,13 +26,15 @@ technique, done with textual codegen + ``exec``):
 Two function sets are generated per program and memoized on the program
 object (one compile per linked binary, like pre-decode itself):
 
-* **block functions** — trace-less whole-block execution, used by
-  ``run(collect_trace=False)`` and the sampled-simulation fast-forward;
-* **per-op handlers** — single-instruction execution with full
-  ``TraceEntry`` support, used for trace collection, for ``step()`` (so the
-  lockstep golden machine exercises the same generated code it guards) and
-  for landing exactly on ``max_steps``/window boundaries or on a computed
-  jump target inside a block.
+* **block functions** — whole-block execution, used by every run and the
+  sampled-simulation fast-forward; a trace-collecting run passes each one
+  the trace's memory-address recorder and records the block's static
+  indices as one span (:class:`~repro.common.trace.CompactTrace`);
+* **per-op handlers** — single-instruction execution that records itself
+  into the trace, used for ``step()`` (so the lockstep golden machine
+  exercises the same generated code it guards), for runs that record every
+  result (guarded runs) and for landing exactly on ``max_steps``/window
+  boundaries or on a computed jump target inside a block.
 
 Architectural state is bit-identical to the baseline interpreter loop on
 every run that completes without a :class:`SimulationError`.  On error
@@ -95,11 +97,13 @@ def compiled_for(program, isa):
 def run_compiled(it, max_steps):
     """Drive interpreter ``it`` through its compiled program.
 
-    Trace-less runs execute whole blocks; trace-collecting runs and the
-    final instructions before ``max_steps`` go through the per-op handlers
-    so the step count is exact.  A computed jump landing mid-block (``JR``/
-    ``JALR`` to a non-leader) single-steps until the next block boundary.
-    Returns the number of instructions executed.
+    Runs execute whole blocks; the final instructions before ``max_steps``
+    go through the per-op handlers so the step count is exact.  A computed
+    jump landing mid-block (``JR``/``JALR`` to a non-leader) single-steps
+    until the next block boundary.  A trace-collecting run records each
+    block as its span of static indices plus its memory addresses; a trace
+    that keeps every result steps through the handlers alone.  Returns the
+    number of instructions executed.
     """
     fast = it._fast
     blocks = fast.block_funcs
@@ -108,14 +112,24 @@ def run_compiled(it, max_steps):
     n = fast.n
     steps = 0
     if it.collect_trace:
+        trace = it.trace
+        spans = fast.block_spans if trace.values is None else [None] * n
+        extend = trace.idx.extend
+        record_mem = trace.mem.append
         while not it.halted and steps < max_steps:
             index = it.pc_index
             if not 0 <= index < n:
                 raise SimulationError(
                     f"pc out of text segment: {it._pc():#x}"
                 )
-            handlers[index](it)
-            steps += 1
+            span = spans[index]
+            if span is not None and steps + lens[index] <= max_steps:
+                blocks[index](it, record_mem)
+                extend(span)
+                steps += lens[index]
+            else:
+                handlers[index](it)
+                steps += 1
         return steps
     while not it.halted and steps < max_steps:
         index = it.pc_index

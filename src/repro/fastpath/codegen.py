@@ -22,8 +22,8 @@ both sides:
 from functools import partial
 
 from repro.common.errors import SimulationError
-from repro.common.trace import TraceEntry
 from repro.ir.passes.constfold import eval_binop
+from repro.isa.timing import ambiguous_branch
 
 MASK = "4294967295"   # 0xFFFF_FFFF
 SIGN = 2147483648     # 0x8000_0000
@@ -33,10 +33,10 @@ class CompiledProgram:
     """The compiled fast path of one linked binary (static, shareable)."""
 
     __slots__ = ("n", "block_funcs", "block_lens", "op_handlers", "min_mrp",
-                 "block_ranges", "term_at")
+                 "block_ranges", "term_at", "block_spans")
 
     def __init__(self, n, block_funcs, block_lens, op_handlers, min_mrp=0,
-                 block_ranges=(), term_at=()):
+                 block_ranges=(), term_at=(), block_spans=()):
         self.n = n
         #: Dense tables indexed by instruction index: a block function (and
         #: its length) at each leader, None/0 elsewhere.
@@ -60,6 +60,19 @@ class CompiledProgram:
         #: state matches a continuous detailed run (SMARTS's key accuracy
         #: requirement).
         self.term_at = term_at
+        #: The static indices a block records into a trace, at each leader
+        #: (None elsewhere, and for a block ending in a branch to its own
+        #: fall-through: its taken twin is only told apart per op).
+        self.block_spans = block_spans
+
+
+def block_spans(decoded, ranges):
+    """The :attr:`CompiledProgram.block_spans` table of a partition."""
+    spans = [None] * len(decoded)
+    for start, end in ranges:
+        if not ambiguous_branch(decoded[end - 1]):
+            spans[start] = tuple(range(start, end))
+    return spans
 
 
 def control_descriptors(decoded, is_call_return):
@@ -102,6 +115,26 @@ class SourceWriter:
         return "\n".join(self._lines) + "\n"
 
 
+def emit_record(w, recorded, mem_addr, value):
+    """Emit a handler's trace recording, taken when the run collects one.
+
+    ``recorded`` is the static-index expression, ``mem_addr`` the address
+    local of a load or store (None otherwise), ``value`` the result
+    expression kept by traces that record values.
+    """
+    w.line("if it.collect_trace:")
+    w.indent()
+    w.line("_tr = it.trace")
+    w.line(f"_tr.idx.append({recorded})")
+    if mem_addr is not None:
+        w.line(f"_tr.mem.append({mem_addr})")
+    w.line("if _tr.values is not None:")
+    w.indent()
+    w.line(f"_tr.values.append({value})")
+    w.dedent()
+    w.dedent()
+
+
 # -- runtime error helpers (bound into every generated namespace) --------------
 
 
@@ -130,7 +163,6 @@ def raise_unknown_ecall(service, pc):
 def base_namespace(program):
     """The helper bindings shared by both ISA generators."""
     return {
-        "_TE": TraceEntry,
         "_iop": program.index_of_pc,
         "_tb": program.text_base,
         "_neg": raise_neg_distance,

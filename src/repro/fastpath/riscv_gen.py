@@ -15,7 +15,7 @@ branch) never round-trip the register file — the superinstruction effect.
 generated instructions.
 
 Bit-identity contract: identical to the STRAIGHT generator — architectural
-state, output channel, trace entries and statistics dicts (insertion order
+state, output channel, recorded traces and statistics dicts (insertion order
 included) match the baseline ``step_op`` loop on every non-erroring run;
 error paths raise the same exceptions with statistics batching as the only
 observable difference.
@@ -28,8 +28,10 @@ from repro.fastpath.codegen import (
     SourceWriter,
     base_namespace,
     binop_expr,
+    block_spans,
     compile_namespace,
     control_descriptors,
+    emit_record,
     icmp_cond,
     icmp_expr,
 )
@@ -49,6 +51,7 @@ from repro.riscv.predecode import (
     RK_LOAD,
     RK_LUI,
     RK_STORE,
+    call_return,
     decode_program,
 )
 
@@ -73,8 +76,12 @@ def _addr_expr(w, fwd, rs1, imm):
         w.line(f"_a = ({base} + {imm}) & {MASK}")
 
 
-def _emit_op(w, fwd, op, k, pc):
-    """Emit one op's computation; returns (value_expr, bool_name, mem)."""
+def _emit_op(w, fwd, op, k, pc, in_block=False):
+    """Emit one op's computation; returns (value_expr, bool_name, mem).
+
+    Inside a block a load or store also hands its address to the trace's
+    recorder ``ma`` when one was passed.
+    """
     kind = op.kind
     m = op.mnemonic
     value = None
@@ -112,6 +119,7 @@ def _emit_op(w, fwd, op, k, pc):
         w.indent()
         w.line(f"_mis('load', _a, {pc})")
         w.dedent()
+        _record_address(w, in_block)
         mem_addr = "_a"
         if op.dest is not None:
             w.line(f"v{k} = mem.get(_a >> 2, 0)")
@@ -123,6 +131,7 @@ def _emit_op(w, fwd, op, k, pc):
         w.indent()
         w.line(f"_mis('store', _a, {pc})")
         w.dedent()
+        _record_address(w, in_block)
         w.line(f"mem[_a >> 2] = {_read(fwd, rs2)}")
         mem_addr = "_a"
     elif kind == RK_BRANCH:
@@ -163,6 +172,14 @@ def _emit_op(w, fwd, op, k, pc):
     return value, cond_name, mem_addr
 
 
+def _record_address(w, in_block):
+    if in_block:
+        w.line("if ma is not None:")
+        w.indent()
+        w.line("ma(_a)")
+        w.dedent()
+
+
 def _write_dest(w, fwd, op, value):
     """Emit the architectural write and update the forwarding map.
 
@@ -180,8 +197,8 @@ def _write_dest(w, fwd, op, value):
         fwd.pop(op.dest, None)
 
 
-def _block_prologue(w, ops, name):
-    w.line(f"def {name}(it):")
+def _block_prologue(w, ops, signature):
+    w.line(f"def {signature}:")
     w.indent()
     w.line("regs = it.regs")
     if any(op.kind in _MEM_KINDS for op in ops):
@@ -190,12 +207,12 @@ def _block_prologue(w, ops, name):
 
 def _emit_block(w, decoded, start, end):
     ops = decoded[start:end]
-    _block_prologue(w, ops, f"_b{start}")
+    _block_prologue(w, ops, f"_b{start}(it, ma=None)")
     fwd = {}
     counts = {}
     last_cond = None
     for k, op in enumerate(ops):
-        value, cond_name, _ = _emit_op(w, fwd, op, k, op.pc)
+        value, cond_name, _ = _emit_op(w, fwd, op, k, op.pc, in_block=True)
         _write_dest(w, fwd, op, value)
         counts[op.mnemonic] = counts.get(op.mnemonic, 0) + 1
         last_cond = cond_name
@@ -223,37 +240,29 @@ def _emit_block(w, decoded, start, end):
     w.line()
 
 
-def _emit_handler(w, op):
+def _emit_handler(w, op, n):
+    """Emit one `_h{index}` single-op handler (trace-recording).
+
+    ``n`` is the program length: a taken branch to its own fall-through
+    records its taken twin ``n + 1 + index`` (see
+    :mod:`repro.isa.timing`).
+    """
     i = op.index
     pc = op.pc
     kind = op.kind
-    _block_prologue(w, (op,), f"_h{i}")
+    _block_prologue(w, (op,), f"_h{i}(it)")
     fwd = {}  # handlers never forward: they read the live register file
     value, cond_name, mem_addr = _emit_op(w, fwd, op, 0, pc)
-    taken = "False"
-    target_pc = "None"
     next_index = str(i + 1)
-    next_pc = str(pc + 4)
-    is_call = "False"
-    is_return = "False"
+    recorded = str(i)
     if kind == RK_BRANCH:
-        taken = cond_name
-        target_pc = str(op.target_pc)
         next_index = f"({op.target_index} if {cond_name} else {i + 1})"
-        next_pc = f"({op.target_pc} if {cond_name} else {pc + 4})"
+        if op.target_index == i + 1:
+            recorded = f"({n + 1 + i} if {cond_name} else {i})"
     elif kind == RK_JAL:
-        taken = "True"
-        target_pc = str(op.target_pc)
         next_index = str(op.target_index)
-        next_pc = str(op.target_pc)
-        is_call = str(bool(op.operand[1]))
     elif kind == RK_JALR:
-        taken = "True"
-        target_pc = "_tp"
         next_index = "_ni"
-        next_pc = "(_tb + _ni * 4)"
-        is_call = str(bool(op.operand[3]))
-        is_return = str(bool(op.operand[4]))
     _write_dest(w, {}, op, value)
     mnemonic = op.mnemonic
     w.line("_mc = it.mnemonic_counts")
@@ -264,18 +273,7 @@ def _emit_handler(w, op):
         dest_value = _read({}, op.operand[1])  # the stored (wrapped) word
     else:
         dest_value = "None"
-    w.line("if it.collect_trace:")
-    w.indent()
-    w.line("it.trace.append(_TE(")
-    w.indent()
-    w.line(f"pc={pc}, op_class={op.op_class!r}, mnemonic={mnemonic!r},")
-    w.line(f"dest={op.dest}, srcs={tuple(op.srcs)!r}, taken={taken},")
-    w.line(f"target_pc={target_pc}, next_pc={next_pc},")
-    w.line(f"mem_addr={mem_addr or 'None'},")
-    w.line(f"is_call={is_call}, is_return={is_return},")
-    w.line(f"dest_value={dest_value}))")
-    w.dedent()
-    w.dedent()
+    emit_record(w, recorded, mem_addr, dest_value)
     w.line(f"it.pc_index = {next_index}")
     w.dedent()
     w.line()
@@ -290,7 +288,7 @@ def compile_program(program):
     for start, end in ranges:
         _emit_block(w, decoded, start, end)
     for op in decoded:
-        _emit_handler(w, op)
+        _emit_handler(w, op, n)
     namespace = base_namespace(program)
     compile_namespace(w.text(), namespace, f"riscv:{program.text_base:#x}")
     block_funcs = [None] * n
@@ -299,17 +297,9 @@ def compile_program(program):
         block_funcs[start] = namespace[f"_b{start}"]
         block_lens[start] = end - start
     handlers = [namespace[f"_h{op.index}"] for op in decoded]
-    term_at = control_descriptors(decoded, _call_return)
+    term_at = control_descriptors(decoded, call_return)
     return CompiledProgram(
         n, block_funcs, block_lens, handlers,
         min_mrp=0, block_ranges=tuple(ranges), term_at=term_at,
+        block_spans=block_spans(decoded, ranges),
     )
-
-
-def _call_return(op):
-    """The (is_call, is_return) flags a control op's trace entries carry."""
-    if op.kind == RK_JAL:
-        return op.operand[1], False
-    if op.kind == RK_JALR:
-        return op.operand[3], op.operand[4]
-    return False, False

@@ -2,11 +2,12 @@
 
 Generates, per linked STRAIGHT binary, one module of Python source holding
 
-* ``_b{start}`` — a function per basic block executing the whole block
-  trace-less (the ``run(collect_trace=False)`` / fast-forward hot path);
-* ``_h{index}`` — a function per instruction executing exactly one op with
-  full ``TraceEntry`` support (trace runs, ``step()``, lockstep golden,
-  boundary landing).
+* ``_b{start}(it, ma=None)`` — a function per basic block executing the
+  whole block (the run / fast-forward hot path); a trace-collecting run
+  passes ``ma``, which receives every load/store address in order;
+* ``_h{index}`` — a function per instruction executing exactly one op and
+  recording it into ``it.trace`` when collecting (``step()``, lockstep
+  golden, guarded runs, boundary landing).
 
 The generated code preserves the baseline interpreter's semantics exactly:
 
@@ -40,8 +41,10 @@ from repro.fastpath.codegen import (
     SourceWriter,
     base_namespace,
     binop_expr,
+    block_spans,
     compile_namespace,
     control_descriptors,
+    emit_record,
     icmp_cond,
 )
 from repro.straight.predecode import (
@@ -90,9 +93,9 @@ def _read_source(w, state, op, k, slot, distance, checked):
     """Emit one source read; returns its value expression.
 
     ``k`` is the op's offset in the block (0 for handlers, which pass
-    ``checked='handler'`` to get inline histogram updates and producer
-    locals for the trace).  Distance histogram updates are batched into
-    ``state.hist`` for blocks and emitted inline for handlers.
+    ``checked='handler'`` to get inline histogram updates).  Distance
+    histogram updates are batched into ``state.hist`` for blocks and
+    emitted inline for handlers.
     """
     if distance == 0:
         return 0
@@ -106,31 +109,30 @@ def _read_source(w, state, op, k, slot, distance, checked):
             return state.values[k - distance]
     pc = op.pc
     name = f"a{k}_{slot}"
-    prod = f"_p{slot}" if handler else "_p"
-    reg = "_q"
-    w.line(f"{prod} = seq - {distance if handler else distance - k}")
-    w.line(f"if {prod} < 0:")
+    w.line(f"_p = seq - {distance - k}")
+    w.line("if _p < 0:")
     w.indent()
     w.line(f"_neg(it, {distance}, {pc})")
     w.dedent()
-    w.line(f"{reg} = {prod} % mrp")
-    w.line(f"if chk and ws[{reg}] != {prod}:")
+    w.line("_q = _p % mrp")
+    w.line("if chk and ws[_q] != _p:")
     w.indent()
-    w.line(f"_stale(it, {distance}, {prod}, {reg}, {pc})")
+    w.line(f"_stale(it, {distance}, _p, _q, {pc})")
     w.dedent()
     if handler:
         w.line(f"_dh[{distance}] = _dh.get({distance}, 0) + 1")
-    w.line(f"{name} = regs[{reg}]")
+    w.line(f"{name} = regs[_q]")
     return name
 
 
-def _emit_value(w, state, op, k, srcs):
-    """Emit the op's computation; returns (value_expr, extra_trace_fields).
+def _emit_value(w, state, op, k, srcs, in_block=False):
+    """Emit the op's computation; returns (value_expr, mem_addr_local).
 
     ``value_expr`` is what gets written to the destination register (an
     int literal or an assigned-once local/source name, always a wrapped
-    word).  ``extra_trace_fields`` carries the handler-only trace pieces
-    (memory address local, etc.).
+    word).  ``mem_addr_local`` names the effective-address local of a load
+    or store (None otherwise); inside a block it is also handed to the
+    trace's address recorder ``ma`` when one was passed.
     """
     kind = op.kind
     pc = op.pc
@@ -165,6 +167,7 @@ def _emit_value(w, state, op, k, srcs):
         w.indent()
         w.line(f"_mis('load', _a, {pc})")
         w.dedent()
+        _record_address(w, in_block)
         w.line(f"v{k} = mem.get(_a >> 2, 0)")
         value = f"v{k}"
         mem_addr = "_a"
@@ -178,6 +181,7 @@ def _emit_value(w, state, op, k, srcs):
         w.indent()
         w.line(f"_mis('store', _a, {pc})")
         w.dedent()
+        _record_address(w, in_block)
         w.line(f"mem[_a >> 2] = {srcs[0]}")
         value = srcs[0]  # "store value is returned" (paper §III-A)
         mem_addr = "_a"
@@ -200,6 +204,14 @@ def _emit_value(w, state, op, k, srcs):
     else:  # K_BEZ / K_BNZ / K_JUMP / K_RET / K_NOP write zero
         value = 0
     return value, mem_addr
+
+
+def _record_address(w, in_block):
+    if in_block:
+        w.line("if ma is not None:")
+        w.indent()
+        w.line("ma(_a)")
+        w.dedent()
 
 
 def _emit_dest(w, k, value):
@@ -247,7 +259,7 @@ def _emit_block(w, decoded, start, end):
     ops = decoded[start:end]
     needs_check, needs_mem = _block_needs(ops, start)
     state = _BlockState()
-    w.line(f"def _b{start}(it):")
+    w.line(f"def _b{start}(it, ma=None):")
     w.indent()
     w.line("seq = it.seq")
     w.line("regs = it.regs")
@@ -264,7 +276,7 @@ def _emit_block(w, decoded, start, end):
             _read_source(w, state, op, k, slot, d, "block")
             for slot, d in enumerate(op.srcs)
         ]
-        value, _ = _emit_value(w, state, op, k, srcs)
+        value, _ = _emit_value(w, state, op, k, srcs, in_block=True)
         state.values[k] = value
         _emit_dest(w, k, value)
         state.counts[op.mnemonic] = state.counts.get(op.mnemonic, 0) + 1
@@ -301,10 +313,14 @@ def _emit_block(w, decoded, start, end):
     return state.max_forward
 
 
-def _emit_handler(w, op):
-    """Emit one `_h{index}` single-op handler (trace-capable)."""
+def _emit_handler(w, op, n):
+    """Emit one `_h{index}` single-op handler (trace-recording).
+
+    ``n`` is the program length: a taken branch to its own fall-through
+    records its taken twin ``n + 1 + index`` (see
+    :mod:`repro.isa.timing`).
+    """
     i = op.index
-    pc = op.pc
     kind = op.kind
     state = _BlockState()
     has_reads = any(d for d in op.srcs)
@@ -324,50 +340,24 @@ def _emit_handler(w, op):
         for slot, d in enumerate(op.srcs)
     ]
     value, mem_addr = _emit_value(w, state, op, 0, srcs)
-    # Control resolution (handlers own their pc update and trace fields).
-    taken = "False"
-    target_pc = "None"
+    # Control resolution (handlers own their pc update).
     next_index = str(i + 1)
-    next_pc = str(pc + 4)
+    recorded = str(i)
     if kind in (K_BEZ, K_BNZ):
         cond = _branch_condition(state, op, 0, srcs[0])
         w.line(f"_t = {cond}")
-        taken = "_t"
-        target_pc = str(op.target_pc)
         next_index = f"({op.target_index} if _t else {i + 1})"
-        next_pc = f"({op.target_pc} if _t else {pc + 4})"
+        if op.target_index == i + 1:
+            recorded = f"({n + 1 + i} if _t else {i})"
     elif kind in (K_JUMP, K_CALL):
-        taken = "True"
-        target_pc = str(op.target_pc)
         next_index = str(op.target_index)
-        next_pc = str(op.target_pc)
     elif kind == K_RET:
-        w.line(f"_ni = _iop({srcs[0]})")
-        taken = "True"
-        target_pc = str(srcs[0])
-        next_index = "_ni"
-        next_pc = "(_tb + _ni * 4)"
+        next_index = f"_iop({srcs[0]})"
     _emit_dest(w, 0, value)
     mnemonic = op.mnemonic
     w.line("_mc = it.mnemonic_counts")
     w.line(f"_mc[{mnemonic!r}] = _mc.get({mnemonic!r}, 0) + 1")
-    w.line("if it.collect_trace:")
-    w.indent()
-    producers = []
-    for slot, d in enumerate(op.srcs):
-        producers.append(f"_p{slot}" if d else "None")
-    srcs_list = "[" + ", ".join(producers) + "]"
-    w.line("it.trace.append(_TE(")
-    w.indent()
-    w.line(f"pc={pc}, op_class={op.op_class!r}, mnemonic={mnemonic!r},")
-    w.line(f"dest=seq, srcs={srcs_list}, taken={taken},")
-    w.line(f"target_pc={target_pc}, next_pc={next_pc},")
-    w.line(f"mem_addr={mem_addr or 'None'},")
-    w.line(f"is_call={kind == K_CALL}, is_return={kind == K_RET},")
-    w.line(f"is_rmov={kind == K_RMOV}, is_spadd={kind == K_SPADD},")
-    w.line(f"src_distances={tuple(op.srcs)!r}, dest_value={value}))")
-    w.dedent()
-    w.dedent()
+    emit_record(w, recorded, mem_addr, value)
     w.line("it.seq = seq + 1")
     w.line(f"it.pc_index = {next_index}")
     w.dedent()
@@ -384,7 +374,7 @@ def compile_program(program):
     for start, end in ranges:
         min_mrp = max(min_mrp, _emit_block(w, decoded, start, end))
     for op in decoded:
-        _emit_handler(w, op)
+        _emit_handler(w, op, n)
     namespace = base_namespace(program)
     compile_namespace(w.text(), namespace, f"straight:{program.text_base:#x}")
     block_funcs = [None] * n
@@ -399,4 +389,5 @@ def compile_program(program):
     return CompiledProgram(
         n, block_funcs, block_lens, handlers,
         min_mrp=min_mrp, block_ranges=tuple(ranges), term_at=term_at,
+        block_spans=block_spans(decoded, ranges),
     )

@@ -143,7 +143,7 @@ def run_functional_with_fault(binary, spec, max_steps=2_000_000):
     Returns ``(interp, status, event)`` where ``status`` is ``'halt'`` or
     ``'limit'`` and ``event`` records what was actually flipped.
     """
-    interp = binary.interpreter(collect_trace=True)
+    interp = binary.interpreter(collect_trace=True, trace_values=True)
     instrs = interp.program.instrs
     n_instrs = len(instrs)
     steps = 0
@@ -350,7 +350,7 @@ def _run_one(binary, config, spec, golden, max_steps, seed):
                                     "event": event}
             suite = _build_suite(config, binary, spec)
         else:
-            interp = binary.interpreter(collect_trace=True)
+            interp = binary.interpreter(collect_trace=True, trace_values=True)
             status = interp.run(max_steps).status
             if status == "limit":
                 raise SimulationError("clean functional run hit step budget")
@@ -397,7 +397,7 @@ def run_campaign(source=None, binary=None, config=None, n_faults=100,
     # (which also proves checkers are quiet on an uncorrupted machine).
     from repro.uarch.core import OoOCore
 
-    golden_interp = binary.interpreter(collect_trace=True)
+    golden_interp = binary.interpreter(collect_trace=True, trace_values=True)
     golden_status = golden_interp.run(max_steps).status
     if golden_status != "halt":
         raise SimulationError("campaign workload did not halt cleanly")

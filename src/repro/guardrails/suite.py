@@ -21,7 +21,7 @@ from repro.common.errors import GuardrailError
 
 
 def _entry_summary(entry):
-    """Compact JSON-friendly view of one committed TraceEntry."""
+    """Compact JSON-friendly view of one committed instruction's entry."""
     summary = {
         "pc": entry.pc,
         "mnemonic": entry.mnemonic,
@@ -164,6 +164,11 @@ class GuardrailSuite:
     # -- hooks called by the timing core ------------------------------------
 
     def begin_run(self, core, state, sched):
+        if self.lockstep is not None and state.trace.values is None:
+            raise ValueError(
+                "lockstep compares committed results: record the trace with "
+                "trace_values=True"
+            )
         self.view = GuardView(core, state, sched)
         for checker in self.checkers:
             checker.begin_run(self.view, self.config)

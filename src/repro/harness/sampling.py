@@ -161,7 +161,7 @@ class _PredictorWarmer:
     calls, BTB fills on taken non-returns — without any cycle modeling.
     ``note`` consumes the compiled fast path's
     :data:`~repro.fastpath.codegen.CompiledProgram.term_at` descriptors;
-    ``note_entry`` consumes :class:`~repro.common.trace.TraceEntry` objects
+    ``note_entry`` consumes :class:`~repro.common.trace.TraceEntry` views
     (the baseline-interpreter fallback), and the two produce bit-identical
     predictor state for the same execution.
     """
@@ -208,24 +208,6 @@ class _PredictorWarmer:
             self.ras.push(entry.pc + WORD_BYTES)
         if entry.taken and not entry.is_return:
             self.btb.update(entry.pc, entry.next_pc)
-
-
-def _rebase_segment(segment, base):
-    """Shift seq-numbered trace operands to segment-relative numbering.
-
-    STRAIGHT trace entries carry the interpreter's *global* retirement
-    sequence in ``dest``/``srcs``; the timing pipeline numbers instructions
-    by trace position.  On a full run the two coincide (both start at 0),
-    but a window segment starts mid-run, so its entries are shifted down by
-    the segment's base sequence.  Producers from before the segment go
-    negative — never in flight, exactly the "long retired, operand ready"
-    case the dispatcher already handles.  Register-named ISAs (``dest`` is
-    an architectural register) never take this path.
-    """
-    for entry in segment:
-        entry.dest -= base
-        if entry.srcs:
-            entry.srcs = tuple(s - base for s in entry.srcs)
 
 
 def _ci95(values):
@@ -296,13 +278,11 @@ class SampledRunner:
             return interp.run(max_steps=count).steps
         if getattr(interp, "_fast", None) is not None:
             return fastpath.run_compiled_warming(interp, count, warmer.note)
-        interp.trace = []
-        interp.collect_trace = True
+        interp.begin_trace()
         steps = interp.run(max_steps=count).steps
         interp.collect_trace = False
         for entry in interp.trace:
             warmer.note_entry(entry)
-        interp.trace = []
         return steps
 
     # -- the sampled run ---------------------------------------------------------
@@ -356,15 +336,12 @@ class SampledRunner:
                           max_steps - executed)
             if p.keep_checkpoints:
                 checkpoints.append(interp.checkpoint())
-            seq_base = getattr(interp, "seq", None)
-            interp.trace = []
-            interp.collect_trace = True
+            # A segment is a trace of its own: positions, and with them
+            # STRAIGHT's producer tags (position − distance), start at 0.
+            interp.begin_trace()
             executed += interp.run(max_steps=seg_len).steps
             interp.collect_trace = False
             segment = interp.trace
-            interp.trace = []
-            if seq_base:
-                _rebase_segment(segment, seq_base)
             window = self._simulate_segment(
                 core, segment, warm_actual, warm_caches
             )

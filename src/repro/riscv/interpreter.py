@@ -15,7 +15,7 @@ from repro import fastpath
 from repro.common.bitops import wrap32
 from repro.common.errors import SimulationError
 from repro.common.layout import STACK_TOP, WORD_BYTES
-from repro.common.trace import TraceEntry
+from repro.common.trace import CompactTrace
 from repro.riscv.isa import OPCODES
 from repro.riscv.linker import ECALL_OUT, ECALL_EXIT
 from repro.riscv.predecode import (
@@ -32,6 +32,7 @@ from repro.riscv.predecode import (
     RK_STORE,
     _decode_one,
     decode_program,
+    timing_table,
 )
 
 
@@ -55,7 +56,8 @@ class RiscvInterpreter:
     #: (``bb``) override with their extended table.
     OPCODES = OPCODES
 
-    def __init__(self, program, collect_trace=False, compiled=None):
+    def __init__(self, program, collect_trace=False, compiled=None,
+                 trace_values=False):
         self.program = program
         #: Immutable pre-decoded instruction array, decoded once per linked
         #: binary and shared by every interpreter over the same program
@@ -68,9 +70,11 @@ class RiscvInterpreter:
         for offset, word in enumerate(program.data_words):
             self.memory[(program.data_base + offset * WORD_BYTES) // 4] = wrap32(word)
         self.output = []
-        self.collect_trace = collect_trace
-        self.trace = []
         self.halted = False
+        #: The recorded :class:`~repro.common.trace.CompactTrace`; a trace
+        #: with ``values`` also keeps every result (guarded runs need them).
+        self.begin_trace(values=trace_values)
+        self.collect_trace = collect_trace
         self.exit_code = None
         self.mnemonic_counts = {}
         #: Threaded-code fast path (None: baseline step_op loop).  The
@@ -80,6 +84,11 @@ class RiscvInterpreter:
         use_fast = fastpath.enabled() if compiled is None else compiled
         if use_fast:
             self._fast = fastpath.compiled_for(program, "riscv")
+
+    def begin_trace(self, values=False):
+        """Install a fresh trace and start recording into it."""
+        self.trace = CompactTrace(self.program, timing_table, values=values)
+        self.collect_trace = True
 
     # -- helpers --------------------------------------------------------------
 
@@ -109,20 +118,19 @@ class RiscvInterpreter:
         """Run until exit ECALL or ``max_steps``; returns a :class:`RunResult`."""
         if self._fast is not None:
             steps = fastpath.run_compiled(self, max_steps)
-            return RunResult(
-                "exit" if self.halted else "limit", steps, self.output,
-                self.exit_code,
-            )
-        steps = 0
-        decoded = self.decoded
-        n_instrs = len(decoded)
-        step_op = self.step_op
-        while not self.halted and steps < max_steps:
-            index = self.pc_index
-            if not 0 <= index < n_instrs:
-                raise SimulationError(f"pc out of text segment: {self._pc():#x}")
-            step_op(decoded[index])
-            steps += 1
+        else:
+            steps = 0
+            decoded = self.decoded
+            n_instrs = len(decoded)
+            step_op = self.step_op
+            while not self.halted and steps < max_steps:
+                index = self.pc_index
+                if not 0 <= index < n_instrs:
+                    raise SimulationError(
+                        f"pc out of text segment: {self._pc():#x}")
+                step_op(decoded[index])
+                steps += 1
+        self.trace.end = self.pc_index
         return RunResult(
             "exit" if self.halted else "limit", steps, self.output, self.exit_code
         )
@@ -143,11 +151,13 @@ class RiscvInterpreter:
         if 0 <= index < len(decoded) and decoded[index].instr is instr:
             if self._fast is not None:
                 self._fast.op_handlers[index](self)
+                self.trace.end = self.pc_index
                 return
             op = decoded[index]
         else:
             op = _decode_one(index, instr, self.program.text_base)
         self.step_op(op)
+        self.trace.end = self.pc_index
 
     def step_current(self):
         """Execute the instruction at the current ``pc_index``.
@@ -164,6 +174,7 @@ class RiscvInterpreter:
             self._fast.op_handlers[index](self)
         else:
             self.step_op(decoded[index])
+        self.trace.end = self.pc_index
 
     def step_op(self, op):
         """Execute one pre-decoded instruction (the hot path)."""
@@ -172,10 +183,7 @@ class RiscvInterpreter:
         regs = self.regs
         next_index = self.pc_index + 1
         taken = False
-        target_pc = None
         mem_addr = None
-        is_call = False
-        is_return = False
         value = None       # the architectural write (None: no write)
         store_value = None
 
@@ -203,20 +211,15 @@ class RiscvInterpreter:
             taken = bool(
                 evaluator(regs[rs1] if rs1 else 0, regs[rs2] if rs2 else 0)
             )
-            target_pc = op.target_pc
             if taken:
                 next_index = op.target_index
         elif kind == RK_JAL:
-            value, is_call = op.operand
-            taken = True
-            target_pc = op.target_pc
+            value = op.operand[0]
             next_index = op.target_index
         elif kind == RK_JALR:
-            rs1, imm, link, is_call, is_return = op.operand
+            rs1, imm, value = op.operand[:3]
             target_pc = wrap32((regs[rs1] if rs1 else 0) + imm) & ~1
-            taken = True
             next_index = self.program.index_of_pc(target_pc)
-            value = link
         elif kind == RK_ECALL:
             service = regs[17]  # a7
             if service == ECALL_OUT:
@@ -238,25 +241,11 @@ class RiscvInterpreter:
         mnemonic = op.mnemonic
         self.mnemonic_counts[mnemonic] = self.mnemonic_counts.get(mnemonic, 0) + 1
         if self.collect_trace:
-            if dest is not None:
-                dest_value = regs[dest]
-            else:
-                dest_value = store_value
-            self.trace.append(
-                TraceEntry(
-                    pc=pc,
-                    op_class=op.op_class,
-                    mnemonic=mnemonic,
-                    dest=dest,
-                    srcs=op.srcs,
-                    taken=taken,
-                    target_pc=target_pc,
-                    next_pc=self.program.text_base + next_index * WORD_BYTES,
-                    mem_addr=mem_addr,
-                    is_call=is_call,
-                    is_return=is_return,
-                    dest_value=dest_value,
-                )
+            index = op.index
+            if taken and next_index == index + 1 and kind == RK_BRANCH:
+                index += len(self.decoded) + 1  # the branch's taken twin
+            self.trace.record(
+                index, mem_addr, regs[dest] if dest is not None else store_value
             )
         self.pc_index = next_index
 

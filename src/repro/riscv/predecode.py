@@ -20,6 +20,7 @@ from repro.common.layout import WORD_BYTES
 from repro.ir.passes.constfold import eval_binop, eval_icmp
 from repro.isa.predecode import DecodedOp
 from repro.isa.predecode import decode_program as _decode_program
+from repro.isa.timing import timing_table as _timing_table
 
 #: Dispatch kinds (dense ints; the interpreter dispatches on these instead
 #: of hashing mnemonic strings per retired instruction).
@@ -158,3 +159,24 @@ def _decode_one(index, instr, text_base):
 def decode_program(program):
     """The memoized decoded-op array of ``program`` (RV32IM kinds)."""
     return _decode_program(program, _decode_one)
+
+
+def call_return(op):
+    """The ``(is_call, is_return)`` stream annotations of one control op."""
+    if op.kind == RK_JAL:
+        return op.operand[1], False
+    if op.kind == RK_JALR:
+        return op.operand[3], op.operand[4]
+    return False, False
+
+
+def timing_flags(op):
+    """``(is_call, is_return, is_rmov, is_spadd)`` of one decoded op."""
+    is_call, is_return = call_return(op)
+    return is_call, is_return, False, False
+
+
+def timing_table(program):
+    """The memoized static timing table of ``program`` (gpr model)."""
+    return _timing_table(program, decode_program(program), False,
+                         timing_flags)

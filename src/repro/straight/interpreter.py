@@ -22,7 +22,7 @@ from repro import fastpath
 from repro.common.bitops import wrap32
 from repro.common.errors import SimulationError
 from repro.common.layout import STACK_TOP, WORD_BYTES
-from repro.common.trace import TraceEntry
+from repro.common.trace import CompactTrace
 from repro.straight.predecode import (
     K_ALU,
     K_ALU_IMM,
@@ -43,6 +43,7 @@ from repro.straight.predecode import (
     K_STORE,
     _decode_one,
     decode_program,
+    timing_table,
 )
 
 
@@ -69,6 +70,7 @@ class StraightInterpreter:
         check_distances=True,
         rob_entries=256,
         compiled=None,
+        trace_values=False,
     ):
         self.program = program
         #: Immutable pre-decoded instruction array, decoded once per linked
@@ -87,10 +89,12 @@ class StraightInterpreter:
         for offset, word in enumerate(program.data_words):
             self.memory[(program.data_base + offset * WORD_BYTES) // 4] = wrap32(word)
         self.output = []
-        self.collect_trace = collect_trace
         self.check_distances = check_distances
-        self.trace = []
         self.halted = False
+        #: The recorded :class:`~repro.common.trace.CompactTrace`; a trace
+        #: with ``values`` also keeps every result (guarded runs need them).
+        self.begin_trace(values=trace_values)
+        self.collect_trace = collect_trace
         # Statistics for the evaluation (Fig. 15 instruction mix, Fig. 16
         # source-distance distribution).
         self.mnemonic_counts = {}
@@ -106,6 +110,12 @@ class StraightInterpreter:
             fast = fastpath.compiled_for(program, "straight")
             if self.max_rp >= fast.min_mrp:
                 self._fast = fast
+
+    def begin_trace(self, values=False):
+        """Install a fresh trace and start recording into it."""
+        self.trace = CompactTrace(self.program, timing_table,
+                                  base_seq=self.seq, values=values)
+        self.collect_trace = True
 
     # -- architectural helpers ---------------------------------------------------
 
@@ -153,19 +163,19 @@ class StraightInterpreter:
         """Run until HALT or ``max_steps``; returns a :class:`RunResult`."""
         if self._fast is not None:
             steps = fastpath.run_compiled(self, max_steps)
-            return RunResult(
-                "halt" if self.halted else "limit", steps, self.output
-            )
-        steps = 0
-        decoded = self.decoded
-        n_instrs = len(decoded)
-        step_op = self.step_op
-        while not self.halted and steps < max_steps:
-            index = self.pc_index
-            if not 0 <= index < n_instrs:
-                raise SimulationError(f"pc out of text segment: {self._pc():#x}")
-            step_op(decoded[index])
-            steps += 1
+        else:
+            steps = 0
+            decoded = self.decoded
+            n_instrs = len(decoded)
+            step_op = self.step_op
+            while not self.halted and steps < max_steps:
+                index = self.pc_index
+                if not 0 <= index < n_instrs:
+                    raise SimulationError(
+                        f"pc out of text segment: {self._pc():#x}")
+                step_op(decoded[index])
+                steps += 1
+        self.trace.end = self.pc_index
         return RunResult("halt" if self.halted else "limit", steps, self.output)
 
     def step(self, instr):
@@ -185,11 +195,13 @@ class StraightInterpreter:
         if 0 <= index < len(decoded) and decoded[index].instr is instr:
             if self._fast is not None:
                 self._fast.op_handlers[index](self)
+                self.trace.end = self.pc_index
                 return
             op = decoded[index]
         else:
             op = _decode_one(index, instr, self.program.text_base)
         self.step_op(op)
+        self.trace.end = self.pc_index
 
     def step_current(self):
         """Execute the instruction at the current ``pc_index``.
@@ -207,15 +219,14 @@ class StraightInterpreter:
             self._fast.op_handlers[index](self)
         else:
             self.step_op(decoded[index])
+        self.trace.end = self.pc_index
 
     def step_op(self, op):
         """Execute one pre-decoded instruction (the hot path)."""
         kind = op.kind
-        pc = op.pc
         next_index = self.pc_index + 1
         dest_value = 0
         taken = False
-        target_pc = None
         mem_addr = None
 
         # Inlined source reads (same semantics and diagnostics as
@@ -227,11 +238,9 @@ class StraightInterpreter:
         distance_hist = self.distance_hist
         check = self.check_distances
         src_values = []
-        src_seqs = []
         for distance in op.srcs:
             if distance == 0:
                 src_values.append(0)
-                src_seqs.append(None)
                 continue
             producer = seq - distance
             if producer < 0:
@@ -248,7 +257,6 @@ class StraightInterpreter:
                 )
             distance_hist[distance] = distance_hist.get(distance, 0) + 1
             src_values.append(regs[reg])
-            src_seqs.append(producer)
 
         if kind == K_ALU:
             dest_value = op.operand(src_values[0], src_values[1])
@@ -269,7 +277,6 @@ class StraightInterpreter:
             dest_value = src_values[0]  # "store value is returned" (§III-A)
         elif kind == K_BEZ or kind == K_BNZ:
             taken = (src_values[0] == 0) if kind == K_BEZ else (src_values[0] != 0)
-            target_pc = op.target_pc
             if taken:
                 next_index = op.target_index
         elif kind == K_RMOV:
@@ -277,18 +284,12 @@ class StraightInterpreter:
         elif kind == K_LUI:
             dest_value = op.operand
         elif kind == K_JUMP:
-            taken = True
-            target_pc = op.target_pc
             next_index = op.target_index
         elif kind == K_CALL:
-            taken = True
-            target_pc = op.target_pc
             next_index = op.target_index
             dest_value = op.operand
         elif kind == K_RET:
-            taken = True
-            target_pc = src_values[0]
-            next_index = self.program.index_of_pc(target_pc)
+            next_index = self.program.index_of_pc(src_values[0])
         elif kind == K_SPADD:
             self.sp = wrap32(self.sp + op.operand)
             dest_value = self.sp
@@ -310,25 +311,10 @@ class StraightInterpreter:
         self.mnemonic_counts[mnemonic] = self.mnemonic_counts.get(mnemonic, 0) + 1
 
         if self.collect_trace:
-            self.trace.append(
-                TraceEntry(
-                    pc=pc,
-                    op_class=op.op_class,
-                    mnemonic=mnemonic,
-                    dest=seq,
-                    srcs=src_seqs,
-                    taken=taken,
-                    target_pc=target_pc,
-                    next_pc=self.program.text_base + next_index * WORD_BYTES,
-                    mem_addr=mem_addr,
-                    is_call=(kind == K_CALL),
-                    is_return=(kind == K_RET),
-                    is_rmov=(kind == K_RMOV),
-                    is_spadd=(kind == K_SPADD),
-                    src_distances=op.srcs,
-                    dest_value=dest_value,
-                )
-            )
+            index = op.index
+            if taken and next_index == index + 1 and kind in (K_BEZ, K_BNZ):
+                index += len(self.decoded) + 1  # the branch's taken twin
+            self.trace.record(index, mem_addr, dest_value)
         self.seq = seq + 1
         self.pc_index = next_index
 

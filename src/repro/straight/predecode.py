@@ -16,6 +16,7 @@ from repro.common.layout import WORD_BYTES
 from repro.ir.passes.constfold import eval_binop, eval_icmp
 from repro.isa.predecode import DecodedOp
 from repro.isa.predecode import decode_program as _decode_program
+from repro.isa.timing import timing_table as _timing_table
 
 #: Dispatch kinds (dense ints; the interpreter dispatches on these instead
 #: of hashing mnemonic strings per retired instruction).
@@ -128,3 +129,15 @@ def _decode_one(index, instr, text_base):
 def decode_program(program):
     """The memoized decoded-op array of ``program`` (STRAIGHT kinds)."""
     return _decode_program(program, _decode_one)
+
+
+def timing_flags(op):
+    """``(is_call, is_return, is_rmov, is_spadd)`` of one decoded op."""
+    kind = op.kind
+    return kind == K_CALL, kind == K_RET, kind == K_RMOV, kind == K_SPADD
+
+
+def timing_table(program):
+    """The memoized static timing table of ``program`` (distance model)."""
+    return _timing_table(program, decode_program(program), True,
+                         timing_flags)

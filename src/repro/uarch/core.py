@@ -23,6 +23,8 @@ its :class:`~repro.uarch.stats.StatsRegistry` are re-exported here for
 backwards compatibility.
 """
 
+from repro.common.trace import as_compact
+from repro.isa.timing import C_LOAD, C_STORE
 from repro.uarch.branch import make_predictor, BranchTargetBuffer, ReturnAddressStack
 from repro.uarch.frontend_models import FRONTEND_MODELS
 from repro.uarch.lsq import LoadStoreQueue, MemDependencePredictor
@@ -53,6 +55,16 @@ class OoOCore:
         self.mdp = MemDependencePredictor()
         self.engine = None  # the TimingEngine of the most recent run
 
+    def compact(self, trace):
+        """``trace`` in the compact form this core's front end replays.
+
+        Recorded traces pass through; a list of
+        :class:`~repro.common.trace.TraceEntry` objects (synthetic or
+        edited traces) goes through the one adapter.
+        """
+        return as_compact(
+            trace, self.frontend.register_model == "distance")
+
     def warm_caches(self, trace):
         """Pre-touch every instruction and data line of ``trace``.
 
@@ -60,13 +72,32 @@ class OoOCore:
         compulsory misses are negligible; a Python-scale run is short enough
         that they would dominate.  Warming reproduces the steady state the
         paper measures (hit/miss statistics are reset afterwards).
+
+        Consecutive fetches from one I-cache line touch it once: a repeat
+        is an L1I hit on the line already at MRU (only data accesses run in
+        between, and they never touch the L1I), so the only thing it would
+        change is the hit counter that warming resets anyway.
         """
-        for entry in trace:
-            self.hierarchy.access_instr(entry.pc)
-            if entry.mem_addr is not None:
-                self.hierarchy.access_data(
-                    entry.mem_addr, is_store=entry.op_class == "store"
-                )
+        trace = self.compact(trace)
+        hierarchy = self.hierarchy
+        access_instr = hierarchy.access_instr
+        access_data = hierarchy.access_data
+        ops = trace.table.ops
+        mem = iter(trace.mem)
+        line_shift = (hierarchy.line_bytes - 1).bit_length()
+        last_line = None
+        for index in trace.idx:
+            op = ops[index]
+            pc = op.pc
+            line = pc >> line_shift
+            if line != last_line:
+                access_instr(pc)
+                last_line = line
+            cls = op.cls
+            if cls == C_LOAD or cls == C_STORE:
+                addr = next(mem)
+                if addr is not None:
+                    access_data(addr, is_store=cls == C_STORE)
         for level in (
             self.hierarchy.l1i,
             self.hierarchy.l1d,
@@ -90,6 +121,7 @@ class OoOCore:
         or ``None`` bus leaves the hot path untouched, and a bus with a
         cycle-granular sink (the stall accountant) also disables skipping.
         """
+        trace = self.compact(trace)
         if warm:
             self.warm_caches(trace)
         # Trace positions restart at 0 every run: per-run front-end state

@@ -20,6 +20,13 @@ Models register in :data:`FRONTEND_MODELS`; a
 :class:`~repro.uarch.config.CoreConfig` names one via its
 ``frontend_model`` property and :class:`~repro.uarch.core.OoOCore` looks it
 up there.
+
+Every model reads the static records of :mod:`repro.isa.timing`:
+``rename(op, seq, spadds)`` either refuses dispatch (counting its stall and
+returning ``None``) or returns the producer tags of trace position ``seq``
+— a ``None`` tag stands for a source no in-flight instruction produces;
+``on_commit(freed)`` hears how many committed instructions had a
+destination register.
 """
 
 
@@ -27,6 +34,8 @@ class RenameFrontEnd:
     """Conventional rename stage with a RAM-based RMT and a free list."""
 
     name = "rename"
+    #: how trace sources name producers (see repro.isa.timing)
+    register_model = "gpr"
     #: counters this model increments, contributed to the StatsRegistry
     STAT_FIELDS = ("rob_walk_cycles", "freelist_stall_cycles",
                    "rename_src_reads", "rename_writes")
@@ -52,32 +61,39 @@ class RenameFrontEnd:
         self.free_regs = self.config.phys_regs - 32
         self.last_writer = {}
 
-    def can_dispatch(self, entry, group_state):
-        """Structural check; may record a stall reason in ``stats``."""
-        if entry.dest is not None and self.free_regs <= 0:
-            self.stats.freelist_stall_cycles += 1
-            return False
-        return True
-
-    def rename(self, entry, seq):
+    def rename(self, op, seq, spadds):
         """Map source logical registers to producer tags; allocate the dest.
 
-        Returns the list of producer tags (trace sequence numbers).
+        Returns the producer tags (trace sequence numbers; ``None`` for a
+        register no instruction of this run has written yet), or ``None``
+        when the free list is empty (a free-list stall).
         """
-        tags = [self.last_writer.get(reg) for reg in entry.srcs]
-        self.stats.rename_src_reads += len(entry.srcs) + (
-            1 if entry.dest is not None else 0
-        )  # sources + previous-mapping read of the destination
-        if entry.dest is not None:
+        dest = op.dest
+        stats = self.stats
+        if dest is not None and self.free_regs <= 0:
+            stats.freelist_stall_cycles += 1
+            return None
+        srcs = op.srcs
+        writer = self.last_writer.get
+        if len(srcs) == 2:
+            tags = (writer(srcs[0]), writer(srcs[1]))
+        elif srcs:
+            tags = tuple(map(writer, srcs))
+        else:
+            tags = ()
+        if dest is None:
+            stats.rename_src_reads += len(srcs)
+        else:
+            # sources + previous-mapping read of the destination
+            stats.rename_src_reads += len(srcs) + 1
             self.free_regs -= 1
-            self.last_writer[entry.dest] = seq
-            self.stats.rename_writes += 1
-        return [t for t in tags if t is not None]
+            self.last_writer[dest] = seq
+            stats.rename_writes += 1
+        return tags
 
-    def on_commit(self, entry):
+    def on_commit(self, freed):
         """Freeing the previous mapping returns one register per writer."""
-        if entry.dest is not None:
-            self.free_regs += 1
+        self.free_regs += freed
 
     def recovery_block_until(self, resolve_cycle, fetch_cycle, rob_free):
         """When dispatch may resume after a mispredict resolved at
@@ -108,6 +124,8 @@ class StraightFrontEnd:
     """STRAIGHT operand determination: RP arithmetic instead of renaming."""
 
     name = "straight"
+    #: how trace sources name producers (see repro.isa.timing)
+    register_model = "distance"
     #: counters this model increments, contributed to the StatsRegistry
     STAT_FIELDS = ("spadd_stall_cycles", "opdet_ops")
 
@@ -117,26 +135,31 @@ class StraightFrontEnd:
         # MAX_RP = maximum distance + ROB entries (paper §III-B) never
         # aliases live registers, so there is no free-list stall by design.
         self.max_rp = config.max_distance + config.rob_entries
+        self.spadd_limit = getattr(config, "spadd_per_group", 1)
 
     def reset_run(self):
         pass  # operand determination is stateless across runs
 
-    def can_dispatch(self, entry, group_state):
-        limit = getattr(self.config, "spadd_per_group", 1)
-        if entry.is_spadd and group_state.get("spadds", 0) >= limit:
+    def rename(self, op, seq, spadds):
+        """Operand determination: one subtraction per source operand.
+
+        ``spadds`` SPADDs already dispatched this group; a further one
+        waits for the next group.
+        """
+        if op.is_spadd and spadds >= self.spadd_limit:
             self.stats.spadd_stall_cycles += 1
-            return False
-        return True
+            return None
+        srcs = op.srcs
+        self.stats.opdet_ops += len(srcs)
+        # The producer of a source at distance d is the instruction d
+        # positions earlier in the trace: RP − distance (§III-B).
+        if len(srcs) == 2:
+            return (seq - srcs[0], seq - srcs[1])
+        if len(srcs) == 1:
+            return (seq - srcs[0],)
+        return tuple(seq - distance for distance in srcs)
 
-    def rename(self, entry, seq):
-        """Operand determination: one subtraction per source operand."""
-        if entry.is_spadd:
-            pass  # group accounting is done by the dispatcher
-        self.stats.opdet_ops += len(entry.srcs)
-        # Trace sources already are producer sequence numbers.
-        return list(entry.srcs)
-
-    def on_commit(self, entry):
+    def on_commit(self, freed):
         pass  # RP reclamation is implicit in the circular register file
 
     def recovery_block_until(self, resolve_cycle, fetch_cycle, rob_free):
@@ -163,7 +186,7 @@ class BasicBlockFrontEnd(RenameFrontEnd):
 
     name = "bb"
 
-    def predict_control(self, stats, entry):
+    def predict_control(self, stats, taken):
         """The FetchStage control hook: (mispredicted, stop_group, penalty).
 
         Mirrors the predictor path's accounting (every control transfer
@@ -171,7 +194,7 @@ class BasicBlockFrontEnd(RenameFrontEnd):
         redirect: the block header resolved the boundary ahead of fetch.
         """
         stats.branches += 1
-        return False, entry.taken, 0
+        return False, taken, 0
 
 
 #: Registered front-end models by name (``CoreConfig.frontend_model``).

@@ -29,44 +29,32 @@ speedup on stall-heavy traces comes from.  Guardrailed runs never jump, so
 per-cycle hooks observe every cycle.
 """
 
-import heapq
+from collections import deque
+from heapq import heappop, heappush
 
 from repro.common.errors import SimulationError
+from repro.common.trace import OP_CLASSES
+from repro.isa.timing import (
+    C_ALU,
+    C_DIV,
+    C_LOAD,
+    C_MUL,
+    C_NOP,
+    C_STORE,
+    C_SYS,
+    PORTS,
+)
 from repro.uarch.frontend_models import RenameFrontEnd, StraightFrontEnd
 from repro.uarch.lsq import LoadStoreQueue
 
-_PORT_CLASS = {
-    "alu": "alu",
-    "mul": "mul",
-    "div": "div",
-    "branch": "bc",
-    "jump": "bc",
-    "load": "mem",
-    "store": "mem",
-    "sys": "alu",
-    "nop": "alu",
-}
-
-
-class _IQEntry:
-    """An issue-queue entry; the ready heap selects oldest-first."""
-
-    __slots__ = ("seq", "entry", "remaining", "min_issue")
-
-    def __init__(self, seq, entry):
-        self.seq = seq
-        self.entry = entry
-        self.remaining = 0
-        self.min_issue = 0
-
-    def __lt__(self, other):
-        return self.seq < other.seq
-
 
 class _RobEntry:
+    """One ROB slot.  ``entry`` is what guards see: the static record, or —
+    on guarded runs — the full :class:`~repro.common.trace.TraceEntry`."""
+
     __slots__ = ("seq", "entry", "done", "fetch_cycle")
 
-    def __init__(self, seq, entry, fetch_cycle):
+    def __init__(self, seq=-1, entry=None, fetch_cycle=0):
         self.seq = seq
         self.entry = entry
         self.done = False
@@ -80,10 +68,25 @@ class PipelineState:
     attributes of one shared object is what lets stages be separate
     components and lets guardrail checkers observe stage-boundary state
     without reaching into closures.
+
+    Instructions are named by their trace position ``seq``, and ``ops``
+    holds each position's static record
+    (:class:`~repro.isa.timing.StaticOp`), so no stage decodes anything.
+    At most ``rob_entries`` consecutive positions are in flight, so
+    per-instruction state lives in rings indexed by ``seq & ring_mask``,
+    like the hardware's circular ROB: the ROB slot objects themselves and
+    the issue-queue wakeup counters.
+
+    ``events`` and ``ready_buckets`` lists are only ever created for future
+    cycles, and a cycle stays in the scheduler until the clock reaches it,
+    so stages register a cycle with the scheduler only when they create
+    its list.
     """
 
     __slots__ = (
-        "trace",            # the dynamic instruction trace (list of TraceEntry)
+        "trace",            # the CompactTrace being replayed
+        "ops",              # static record per position, then the successor's
+        "mem",              # load/store addresses in program order
         "n",                # len(trace)
         "committed",        # instructions retired so far
         "fetch_idx",        # next trace index to fetch
@@ -93,21 +96,28 @@ class PipelineState:
         "pipe",             # front-end pipe: (seq, dispatch_ready_cycle, fetch_cycle)
         "rob",              # deque of _RobEntry, program order
         "rob_by_seq",       # seq -> _RobEntry for in-flight instructions
+        "rob_slots",        # ring of reusable _RobEntry objects
         "iq_count",         # issue-queue occupancy
         "events",           # cycle -> [seq, ...] completing that cycle
-        "ready_buckets",    # cycle -> [_IQEntry, ...] becoming ready
-        "ready_heap",       # heap of ready _IQEntry (oldest-first select)
-        "waiting",          # producer seq -> [_IQEntry, ...] blocked on it
+        "ready_buckets",    # cycle -> [seq, ...] becoming ready
+        "ready_heap",       # heap of ready seqs (oldest-first select)
+        "waiting",          # producer seq -> [consumer seq, ...] blocked on it
         "reg_ready",        # in-flight producer seq -> result-available cycle
-        "iq_entries_by_seq",  # in-flight seq -> _IQEntry (pruned at commit)
+        "iq_remaining",     # ring: unresolved producers of a waiting entry
+        "iq_min_issue",     # ring: earliest issue cycle of a waiting entry
+        "ring_mask",        # ring size - 1
+        "mem_cursor",       # next unread address in ``mem`` (dispatch order)
+        "store_addr",       # dispatched, unexecuted store seq -> address
         "last_fetch_line",  # last I-cache line touched by fetch
         "line_shift",       # log2(cache line bytes)
     )
 
-    def __init__(self, trace, line_shift):
-        from collections import deque
-
+    def __init__(self, trace, line_shift, rob_entries):
         self.trace = trace
+        static = trace.table.ops
+        self.ops = list(map(static.__getitem__, trace.idx))
+        self.ops.append(static[trace.end])
+        self.mem = trace.mem
         self.n = len(trace)
         self.committed = 0
         self.fetch_idx = 0
@@ -123,7 +133,13 @@ class PipelineState:
         self.ready_heap = []
         self.waiting = {}
         self.reg_ready = {}
-        self.iq_entries_by_seq = {}
+        ring = 1 << max(0, rob_entries - 1).bit_length()
+        self.rob_slots = [_RobEntry() for _ in range(ring)]
+        self.iq_remaining = [0] * ring
+        self.iq_min_issue = [0] * ring
+        self.ring_mask = ring - 1
+        self.mem_cursor = 0
+        self.store_addr = {}
         self.last_fetch_line = -1
         self.line_shift = line_shift
 
@@ -189,41 +205,62 @@ class CompletionStage(PipelineStage):
         seqs = state.events.pop(cycle, None)
         if not seqs:
             return
-        stats = self.stats
         waiting = state.waiting
-        ready_buckets = state.ready_buckets
         rob_by_seq = state.rob_by_seq
-        schedule = self.sched.schedule
         obs = self.obs
+        wakeups = 0
         for seq in seqs:
             rob_entry = rob_by_seq.get(seq)
             if rob_entry is not None:
                 rob_entry.done = True
             if obs is not None:
                 obs.on_complete(seq, cycle)
-            for consumer in waiting.pop(seq, ()):
-                consumer.remaining -= 1
-                if consumer.min_issue < cycle:
-                    consumer.min_issue = cycle
-                if consumer.remaining == 0:
-                    bucket_at = consumer.min_issue
-                    if bucket_at <= cycle:
-                        bucket_at = cycle + 1
-                    ready_buckets.setdefault(bucket_at, []).append(consumer)
-                    schedule(bucket_at)
-                stats.iq_wakeups += 1
+            consumers = waiting.pop(seq, None)
+            if consumers is not None:
+                wakeups += len(consumers)
+                self._wake(consumers, cycle)
             if seq == state.awaiting_branch:
-                state.awaiting_branch = None
-                state.fetch_resume = cycle + 1
-                rob_free = self.cfg.rob_entries - len(state.rob)
-                blocked = self.core.frontend.recovery_block_until(
-                    cycle, rob_by_seq[seq].fetch_cycle, rob_free
-                )
-                if blocked > state.rename_blocked_until:
-                    state.rename_blocked_until = blocked
-                stats.recovery_stall_cycles += max(0, blocked - cycle)
-                if obs is not None:
-                    obs.on_recovery(seq, rob_by_seq[seq].entry, cycle, blocked)
+                self._resolve(seq, cycle)
+        self.stats.iq_wakeups += wakeups
+
+    def _wake(self, consumers, cycle):
+        """One producer completed: count down each consumer's operands."""
+        state = self.state
+        ready_buckets = state.ready_buckets
+        remaining = state.iq_remaining
+        min_issue = state.iq_min_issue
+        mask = state.ring_mask
+        for consumer in consumers:
+            slot = consumer & mask
+            left = remaining[slot] - 1
+            remaining[slot] = left
+            if min_issue[slot] < cycle:
+                min_issue[slot] = cycle
+            if left == 0:
+                bucket_at = min_issue[slot]
+                if bucket_at <= cycle:
+                    bucket_at = cycle + 1
+                bucket = ready_buckets.get(bucket_at)
+                if bucket is None:
+                    ready_buckets[bucket_at] = [consumer]
+                    self.sched.schedule(bucket_at)
+                else:
+                    bucket.append(consumer)
+
+    def _resolve(self, seq, cycle):
+        """The awaited mispredicted branch ``seq`` resolved this cycle."""
+        state = self.state
+        state.awaiting_branch = None
+        state.fetch_resume = cycle + 1
+        rob_free = self.cfg.rob_entries - len(state.rob)
+        blocked = self.core.frontend.recovery_block_until(
+            cycle, state.rob_by_seq[seq].fetch_cycle, rob_free
+        )
+        if blocked > state.rename_blocked_until:
+            state.rename_blocked_until = blocked
+        self.stats.recovery_stall_cycles += max(0, blocked - cycle)
+        if self.obs is not None:
+            self.obs.on_recovery(seq, state.ops[seq], cycle, blocked)
 
     def can_tick(self):
         return self.sched.cycle in self.state.events
@@ -241,39 +278,43 @@ class CommitStage(PipelineStage):
             return
         cycle = self.sched.cycle
         guard = self.guard
+        obs = self.obs
         lsq = self.core.lsq
-        frontend = self.core.frontend
+        ops = state.ops
         rob_by_seq = state.rob_by_seq
         reg_ready = state.reg_ready
-        iq_entries_by_seq = state.iq_entries_by_seq
         slots = self.cfg.commit_width
-        obs = self.obs
+        freed = 0
         while rob and slots > 0:
             head = rob[0]
             if not head.done:
                 break
+            seq = head.seq
+            op = ops[seq]
             if guard is not None:
                 guard.on_commit(head, cycle)
             if obs is not None:
-                obs.on_commit(head.seq, head.entry, cycle)
+                obs.on_commit(seq, op, cycle)
             rob.popleft()
-            seq = head.seq
             del rob_by_seq[seq]
-            frontend.on_commit(head.entry)
-            if head.entry.op_class == "store":
-                lsq.commit_store(seq)
-            elif head.entry.op_class == "load":
-                lsq.commit_load(seq)
+            if op.dest is not None:
+                freed += 1
+            if op.is_mem:
+                if op.cls == C_LOAD:
+                    lsq.loads.pop(seq, None)
+                else:
+                    lsq.stores.pop(seq, None)
             # Retired instructions need no further wakeup bookkeeping: a
             # consumer dispatched after this point finds the seq absent from
             # both maps and treats the operand as ready, which is exactly
             # what the result-available cycle would have said (completion
-            # always precedes commit).  Without this pruning both dicts grew
+            # always precedes commit).  Without this pruning the dict grew
             # O(trace) on long runs.
             reg_ready.pop(seq, None)
-            iq_entries_by_seq.pop(seq, None)
             state.committed += 1
             slots -= 1
+        if freed:
+            self.core.frontend.on_commit(freed)
 
     def can_tick(self):
         rob = self.state.rob
@@ -281,11 +322,26 @@ class CommitStage(PipelineStage):
 
 
 class IssueStage(PipelineStage):
-    """Wakeup-select issue with per-class ports and LSQ execution."""
+    """Wakeup-select issue with per-class ports and LSQ execution.
+
+    The ready heap holds sequence numbers, so oldest-first select is the
+    heap's own int order.  A seq enters it no earlier than the cycle before
+    its earliest issue cycle — from its ready bucket, or from dispatch,
+    which runs after issue — so everything the stage finds in it may issue.
+    """
 
     name = "issue"
     STAT_FIELDS = ("regfile_reads", "regfile_writes", "alu_ops", "mul_ops",
                    "div_ops", "mem_violations")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        cfg = self.cfg
+        self.units = [cfg.units.get(port, 0) for port in PORTS]
+        #: ports with fewer units than the issue width; only they can run
+        #: out within one cycle, so only they are counted
+        self.scarce = [units < cfg.issue_width for units in self.units]
+        self.latency = [cfg.latencies.get(name, 1) for name in OP_CLASSES]
 
     def tick(self):
         state = self.state
@@ -293,91 +349,109 @@ class IssueStage(PipelineStage):
         ready_heap = state.ready_heap
         bucket = state.ready_buckets.pop(cycle, None)
         if bucket:
-            for iq_entry in bucket:
-                heapq.heappush(ready_heap, iq_entry)
+            for seq in bucket:
+                heappush(ready_heap, seq)
         if not ready_heap:
             return
-        cfg = self.cfg
-        stats = self.stats
+        ops = state.ops
         reg_ready = state.reg_ready
         events = state.events
-        schedule = self.sched.schedule
-        ports = dict(cfg.units)
+        latency = self.latency
+        scarce = self.scarce
+        free = self.units[:]
+        width = self.cfg.issue_width
         obs = self.obs
         issued = 0
+        reads = writes = alu = mul = div = 0
         deferred = []
-        while ready_heap and issued < cfg.issue_width:
-            iq_entry = heapq.heappop(ready_heap)
-            if iq_entry.min_issue > cycle:
-                deferred.append(iq_entry)
+        while ready_heap and issued < width:
+            seq = heappop(ready_heap)
+            op = ops[seq]
+            port = op.port
+            if scarce[port] and not free[port]:
+                deferred.append(seq)
                 continue
-            port = _PORT_CLASS[iq_entry.entry.op_class]
-            if ports.get(port, 0) <= 0:
-                deferred.append(iq_entry)
-                continue
-            latency = self._issue_latency(iq_entry, cycle)
-            if latency is None:
-                continue  # stays in the IQ, now waiting on a store
-            ports[port] -= 1
+            cls = op.cls
+            if cls == C_LOAD:
+                lat = self._issue_load(seq, cycle)
+                if lat is None:
+                    continue  # stays in the IQ, now waiting on a store
+            elif cls == C_STORE:
+                lat = self._execute_store(seq, cycle)
+            else:
+                lat = latency[cls]
+            if scarce[port]:
+                free[port] -= 1
             issued += 1
-            state.iq_count -= 1
-            seq = iq_entry.seq
-            done_at = cycle + latency
+            done_at = cycle + lat
             reg_ready[seq] = done_at
-            events.setdefault(done_at, []).append(seq)
-            schedule(done_at)
+            completing = events.get(done_at)
+            if completing is None:
+                events[done_at] = [seq]
+                self.sched.schedule(done_at)
+            else:
+                completing.append(seq)
             if obs is not None:
-                obs.on_issue(seq, iq_entry.entry, cycle, done_at)
-            stats.regfile_reads += len(iq_entry.entry.srcs)
-            if iq_entry.entry.dest is not None or cfg.is_straight:
-                stats.regfile_writes += 1
-            cls = iq_entry.entry.op_class
-            if cls in ("alu", "sys"):
-                stats.alu_ops += 1
-            elif cls == "mul":
-                stats.mul_ops += 1
-            elif cls == "div":
-                stats.div_ops += 1
-        for iq_entry in deferred:
-            heapq.heappush(ready_heap, iq_entry)
+                obs.on_issue(seq, op, cycle, done_at)
+            reads += op.n_srcs
+            if op.writes:
+                writes += 1
+            if cls == C_ALU or cls == C_SYS:
+                alu += 1
+            elif cls == C_MUL:
+                mul += 1
+            elif cls == C_DIV:
+                div += 1
+        for seq in deferred:
+            heappush(ready_heap, seq)
+        if issued:
+            state.iq_count -= issued
+            stats = self.stats
+            stats.regfile_reads += reads
+            stats.regfile_writes += writes
+            if alu:
+                stats.alu_ops += alu
+            if mul:
+                stats.mul_ops += mul
+            if div:
+                stats.div_ops += div
 
-    def _issue_latency(self, iq_entry, cycle):
-        """Latency for an issuing instruction; ``None`` defers the issue."""
+    def _issue_load(self, seq, cycle):
+        """The issuing load's latency; ``None`` parks it behind a store."""
+        core = self.core
+        kind, payload = core.lsq.try_issue_load(
+            seq, cycle, core.mdp, core.hierarchy, self.stats
+        )
+        if kind == "wait":
+            # Forbidden to speculate past this older store; sleep until it
+            # executes and recheck.
+            state = self.state
+            state.waiting.setdefault(payload, []).append(seq)
+            state.iq_remaining[seq & state.ring_mask] += 1
+            return None
+        return payload
+
+    def _execute_store(self, seq, cycle):
+        """Execute store ``seq``: LSQ violation check; returns its latency."""
         state = self.state
-        entry = iq_entry.entry
-        cls = entry.op_class
         lsq = self.core.lsq
-        latencies = self.cfg.latencies
-        if cls == "load":
-            kind, payload = lsq.try_issue_load(
-                iq_entry.seq, cycle, self.core.mdp, self.core.hierarchy,
-                self.stats
-            )
-            if kind == "wait":
-                # Forbidden to speculate past this older store; sleep until
-                # it executes and recheck.
-                state.waiting.setdefault(payload, []).append(iq_entry)
-                iq_entry.remaining += 1
-                return None
-            return payload
-        if cls == "store":
-            violations = lsq.store_executed(
-                iq_entry.seq, entry.mem_addr, cycle + latencies["store"]
-            )
-            if violations:
-                self.stats.mem_violations += len(violations)
-                obs = self.obs
-                for load_seq in violations:
-                    self.core.mdp.train_conflict(lsq.load_pc(load_seq))
-                    if obs is not None:
-                        obs.on_squash(load_seq, cycle, "mem-order")
-                # Replay of the violating loads and their dependents,
-                # modeled as a short pipeline penalty.
-                resume = cycle + self.cfg.mdp_replay_penalty
-                if resume > state.fetch_resume:
-                    state.fetch_resume = resume
-            return latencies["store"]
-        return latencies.get(cls, 1)
+        latency = self.latency[C_STORE]
+        violations = lsq.store_executed(
+            seq, state.store_addr.pop(seq), cycle + latency
+        )
+        if violations:
+            self.stats.mem_violations += len(violations)
+            obs = self.obs
+            for load_seq in violations:
+                self.core.mdp.train_conflict(lsq.load_pc(load_seq))
+                if obs is not None:
+                    obs.on_squash(load_seq, cycle, "mem-order")
+            # Replay of the violating loads and their dependents, modeled
+            # as a short pipeline penalty.
+            resume = cycle + self.cfg.mdp_replay_penalty
+            if resume > state.fetch_resume:
+                state.fetch_resume = resume
+        return latency
 
     def can_tick(self):
         state = self.state
@@ -400,77 +474,117 @@ class DispatchStage(PipelineStage):
         if not pipe or pipe[0][1] > cycle:
             return
         cfg = self.cfg
-        stats = self.stats
         guard = self.guard
-        trace = state.trace
+        obs = self.obs
+        ops = state.ops
         rob = state.rob
         rob_by_seq = state.rob_by_seq
-        lsq = self.core.lsq
-        frontend = self.core.frontend
+        rob_slots = state.rob_slots
+        mask = state.ring_mask
+        rename = self.core.frontend.rename
         reg_ready = state.reg_ready
-        waiting = state.waiting
-        ready_buckets = state.ready_buckets
-        schedule = self.sched.schedule
-        obs = self.obs
+        ready_heap = state.ready_heap
+        rob_entries = cfg.rob_entries
+        iq_entries = cfg.iq_entries
+        iq_count = state.iq_count
+        next_cycle = cycle + 1
         slots = cfg.fetch_width
-        group_state = {"spadds": 0}
+        spadds = 0
+        dispatched = 0
         while pipe and slots > 0:
             seq, ready_at, fetch_cycle = pipe[0]
             if ready_at > cycle:
                 break
-            entry = trace[seq]
-            if len(rob) >= cfg.rob_entries:
-                stats.rob_full_stalls += 1
+            op = ops[seq]
+            if len(rob) >= rob_entries:
+                self.stats.rob_full_stalls += 1
                 break
-            if entry.op_class != "nop" and state.iq_count >= cfg.iq_entries:
-                stats.iq_full_stalls += 1
+            is_nop = op.cls == C_NOP
+            if not is_nop and iq_count >= iq_entries:
+                self.stats.iq_full_stalls += 1
                 break
-            if entry.op_class == "load" and not lsq.can_add_load():
-                stats.lsq_full_stalls += 1
+            if op.is_mem and not self._lsq_room(op):
                 break
-            if entry.op_class == "store" and not lsq.can_add_store():
-                stats.lsq_full_stalls += 1
-                break
-            if not frontend.can_dispatch(entry, group_state):
-                break
+            tags = rename(op, seq, spadds)
+            if tags is None:
+                break  # the front-end model refused (its stall is counted)
             pipe.popleft()
             slots -= 1
-            if entry.is_spadd:
-                group_state["spadds"] = group_state.get("spadds", 0) + 1
-            tags = frontend.rename(entry, seq)
-            rob_entry = _RobEntry(seq, entry, fetch_cycle)
+            dispatched += 1
+            if op.is_spadd:
+                spadds += 1
+            rob_entry = rob_slots[seq & mask]
+            rob_entry.seq = seq
+            rob_entry.done = is_nop
+            rob_entry.fetch_cycle = fetch_cycle
             rob.append(rob_entry)
             rob_by_seq[seq] = rob_entry
-            stats.rob_writes += 1
-            if guard is not None:
-                guard.on_dispatch(seq, entry, cycle)
+            if guard is None:
+                rob_entry.entry = op
+            else:
+                rob_entry.entry = state.trace.entry(seq)
+                guard.on_dispatch(seq, rob_entry.entry, cycle)
             if obs is not None:
-                obs.on_dispatch(seq, entry, cycle, tags)
-            if entry.op_class == "nop":
-                rob_entry.done = True
+                obs.on_dispatch(seq, op, cycle,
+                                [tag for tag in tags if tag is not None])
+            if is_nop:
                 continue
-            if entry.op_class == "load":
-                lsq.add_load(seq, entry.mem_addr, entry.pc)
-                stats.loads += 1
-            elif entry.op_class == "store":
-                lsq.add_store(seq)
-                stats.stores += 1
-            iq_entry = _IQEntry(seq, entry)
-            iq_entry.min_issue = cycle + 1
+            if op.is_mem:
+                self._enter_lsq(seq, op)
+            iq_count += 1
+            # A None tag is a source register no in-flight producer writes.
+            issue_at = next_cycle
+            unresolved = 0
             for tag in tags:
-                ready_at_tag = reg_ready.get(tag)
-                if ready_at_tag is None:
+                ready = reg_ready.get(tag)
+                if ready is None:
                     if tag in rob_by_seq:
-                        waiting.setdefault(tag, []).append(iq_entry)
-                        iq_entry.remaining += 1
+                        state.waiting.setdefault(tag, []).append(seq)
+                        unresolved += 1
                     # else: producer long retired; operand ready
-                elif ready_at_tag > iq_entry.min_issue:
-                    iq_entry.min_issue = ready_at_tag
-            state.iq_count += 1
-            state.iq_entries_by_seq[seq] = iq_entry
-            if iq_entry.remaining == 0:
-                ready_buckets.setdefault(iq_entry.min_issue, []).append(iq_entry)
-                schedule(iq_entry.min_issue)
+                elif ready > issue_at:
+                    issue_at = ready
+            if unresolved:
+                state.iq_remaining[seq & mask] = unresolved
+                state.iq_min_issue[seq & mask] = issue_at
+            elif issue_at == next_cycle:
+                # Issue runs before dispatch, so the heap is next read in
+                # the cycle this instruction becomes ready.
+                heappush(ready_heap, seq)
+            else:
+                bucket = state.ready_buckets.get(issue_at)
+                if bucket is None:
+                    state.ready_buckets[issue_at] = [seq]
+                    self.sched.schedule(issue_at)
+                else:
+                    bucket.append(seq)
+        state.iq_count = iq_count
+        if dispatched:
+            self.stats.rob_writes += dispatched
+
+    def _lsq_room(self, op):
+        """Whether the LSQ has a free entry for ``op`` (else: a stall)."""
+        lsq = self.core.lsq
+        if op.cls == C_LOAD:
+            room = len(lsq.loads) < lsq.load_entries
+        else:
+            room = len(lsq.stores) < lsq.store_entries
+        if not room:
+            self.stats.lsq_full_stalls += 1
+        return room
+
+    def _enter_lsq(self, seq, op):
+        """Allocate the LSQ entry of a dispatching load or store."""
+        state = self.state
+        addr = state.mem[state.mem_cursor]
+        state.mem_cursor += 1
+        if op.cls == C_LOAD:
+            self.core.lsq.add_load(seq, addr, op.pc)
+            self.stats.loads += 1
+        else:
+            state.store_addr[seq] = addr
+            self.core.lsq.add_store(seq)
+            self.stats.stores += 1
 
     def can_tick(self):
         state = self.state
@@ -499,6 +613,13 @@ class FetchStage(PipelineStage):
                    "branch_mispredicts", "target_mispredicts",
                    "return_mispredicts", "btb_redirects")
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Front-end models may resolve control flow without prediction (the
+        # bb block-header scheme); models without the hook take the classic
+        # predictor path of _predict_control unchanged.
+        self.resolve = getattr(self.core.frontend, "predict_control", None)
+
     def tick(self):
         state = self.state
         cycle = self.sched.cycle
@@ -509,38 +630,35 @@ class FetchStage(PipelineStage):
         if fetch_idx >= n:
             return
         cfg = self.cfg
-        trace = state.trace
-        hierarchy = self.core.hierarchy
+        ops = state.ops
         pipe = state.pipe
         line_shift = state.line_shift
+        last_line = state.last_fetch_line
         obs = self.obs
+        width = cfg.fetch_width
         dispatch_at = cycle + cfg.frontend_depth
         fetched = 0
-        while fetched < cfg.fetch_width and fetch_idx < n:
-            entry = trace[fetch_idx]
-            line = entry.pc >> line_shift
-            if line != state.last_fetch_line:
-                latency = hierarchy.access_instr(entry.pc)
-                state.last_fetch_line = line
-                if latency > hierarchy.l1i.hit_latency:
-                    extra = latency - hierarchy.l1i.hit_latency
-                    state.fetch_resume = cycle + extra
-                    self.stats.icache_stall_cycles += extra
+        while fetched < width and fetch_idx < n:
+            op = ops[fetch_idx]
+            line = op.pc >> line_shift
+            if line != last_line:
+                last_line = line
+                if self._icache_miss(op.pc, cycle):
                     break
             pipe.append((fetch_idx, dispatch_at, cycle))
             seq = fetch_idx
             fetch_idx += 1
             fetched += 1
             if obs is not None:
-                obs.on_fetch(seq, entry, cycle)
-            if entry.is_control:
+                obs.on_fetch(seq, op, cycle)
+            if op.is_control:
                 mispredicted, stop_group, redirect = self._predict_control(
-                    entry, seq
+                    op, seq
                 )
                 if mispredicted:
                     state.awaiting_branch = seq
                     if obs is not None:
-                        obs.on_mispredict(seq, entry, cycle)
+                        obs.on_mispredict(seq, op, cycle)
                     break
                 if redirect:
                     state.fetch_resume = cycle + 1 + redirect
@@ -548,42 +666,55 @@ class FetchStage(PipelineStage):
                 if stop_group:
                     break
         state.fetch_idx = fetch_idx
+        state.last_fetch_line = last_line
 
-    def _predict_control(self, entry, seq):
-        """Returns (mispredicted, stop_fetch_group, redirect_penalty)."""
+    def _icache_miss(self, pc, cycle):
+        """Fetch a new I-cache line; a miss stalls fetch and returns True."""
+        hierarchy = self.core.hierarchy
+        extra = hierarchy.access_instr(pc) - hierarchy.l1i.hit_latency
+        if extra <= 0:
+            return False
+        self.state.fetch_resume = cycle + extra
+        self.stats.icache_stall_cycles += extra
+        return True
+
+    def _predict_control(self, op, seq):
+        """Returns (mispredicted, stop_fetch_group, redirect_penalty).
+
+        The outcome comes from the trace: the successor's PC, and for a
+        conditional branch, whether that PC differs from the fall-through.
+        """
         stats = self.stats
         core = self.core
-        # Front-end models may resolve control flow without prediction (the
-        # bb block-header scheme); models without the hook take the classic
-        # predictor path below unchanged.
-        resolve = getattr(core.frontend, "predict_control", None)
-        if resolve is not None:
-            return resolve(stats, entry)
+        next_pc = self.state.ops[seq + 1].pc
+        actual_taken = not op.is_branch or next_pc != op.fall_pc
+        if self.resolve is not None:
+            return self.resolve(stats, actual_taken)
         stats.branches += 1
-        actual_taken = entry.taken
-        actual_target = entry.next_pc if actual_taken else None
-        if entry.op_class == "branch":
-            predicted_taken = core.predictor.predict(entry.pc)
-            core.predictor.update(entry.pc, actual_taken)
+        pc = op.pc
+        actual_target = next_pc if actual_taken else None
+        if op.is_branch:
+            predicted_taken = core.predictor.predict(pc)
+            core.predictor.update(pc, actual_taken)
         else:
             predicted_taken = True
         predicted_target = None
         if predicted_taken:
-            if entry.is_return:
+            if op.is_return:
                 predicted_target = core.ras.pop()
             else:
-                predicted_target = core.btb.predict(entry.pc)
-        if entry.is_call:
-            core.ras.push(entry.pc + 4)
-        if actual_taken and not entry.is_return:
-            core.btb.update(entry.pc, entry.next_pc)
+                predicted_target = core.btb.predict(pc)
+        if op.is_call:
+            core.ras.push(pc + 4)
+        if actual_taken and not op.is_return:
+            core.btb.update(pc, next_pc)
         if self.cfg.ideal_recovery:
             return False, actual_taken, 0
         if predicted_taken != actual_taken:
             stats.branch_mispredicts += 1
             return True, True, 0
         if actual_taken and predicted_target != actual_target:
-            if entry.is_return:
+            if op.is_return:
                 stats.return_mispredicts += 1
                 stats.branch_mispredicts += 1
                 return True, True, 0
@@ -630,7 +761,7 @@ class TimingEngine:
         obs = observer if (observer is not None and observer.active) else None
         self.obs = obs
         line_shift = (core.hierarchy.line_bytes - 1).bit_length()
-        self.state = PipelineState(trace, line_shift)
+        self.state = PipelineState(trace, line_shift, core.config.rob_entries)
 
         from repro.uarch.scheduler import EventScheduler
 
@@ -668,6 +799,16 @@ class TimingEngine:
             obs.begin_run(self.core, state, sched)
 
         completion, commit, issue, dispatch, fetch = self.stages
+        complete_tick = completion.tick
+        commit_tick = commit.tick
+        issue_tick = issue.tick
+        dispatch_tick = dispatch.tick
+        fetch_tick = fetch.tick
+        events = state.events
+        ready_buckets = state.ready_buckets
+        ready_heap = state.ready_heap
+        pipe = state.pipe
+        rob = state.rob
         idle_skip = self.idle_skip
         while state.committed < n:
             # The cheap pre-filter first: a non-empty ready heap or front-end
@@ -676,8 +817,8 @@ class TimingEngine:
             # can_tick() calls.  Only quiet windows (both empty) pay for the
             # full stage-by-stage idleness check.
             if (idle_skip
-                    and not state.ready_heap
-                    and not state.pipe
+                    and not ready_heap
+                    and not pipe
                     and not (
                         completion.can_tick()
                         or commit.can_tick()
@@ -687,11 +828,24 @@ class TimingEngine:
                     )):
                 self._skip_to_next_event(max_cycles)
                 continue
-            completion.tick()
-            commit.tick()
-            issue.tick()
-            dispatch.tick()
-            fetch.tick()
+            # Each stage runs only when its can_tick() predicate holds —
+            # inlined here, in stage order, on the state the earlier stages
+            # of this cycle left behind — since a tick that fails the
+            # predicate returns without effect.
+            cycle = sched.cycle
+            if cycle in events:
+                complete_tick()
+            if rob and rob[0].done:
+                commit_tick()
+            if ready_heap or cycle in ready_buckets:
+                issue_tick()
+            if (pipe and pipe[0][1] <= cycle
+                    and cycle >= state.rename_blocked_until):
+                dispatch_tick()
+            if (state.awaiting_branch is None
+                    and cycle >= state.fetch_resume
+                    and state.fetch_idx < n):
+                fetch_tick()
             # Observer cycle-end precedes the guard hook so the attribution
             # conservation checker sees this cycle's fresh charges.
             if obs is not None:

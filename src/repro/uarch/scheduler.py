@@ -20,7 +20,9 @@ Scheduled cycles are deduplicated: the seed engine pushed the same cycle
 onto its ``event_cycles`` heap once per event source (a completion and a
 ready bucket landing on the same cycle produced two heap entries), which
 inflated the heap on wakeup-heavy traces.  Here a shadow set keeps each
-pending cycle in the heap exactly once.
+pending cycle in the heap exactly once, and passed cycles leave both
+whenever a new cycle is scheduled — also on cores that never skip, whose
+clock never asks for the next event.
 """
 
 from heapq import heappop, heappush
@@ -44,11 +46,19 @@ class EventScheduler:
     # -- event registration --------------------------------------------------
 
     def schedule(self, at):
-        """Register ``at`` as a cycle where some stage may make progress."""
+        """Register ``at`` as a cycle where some stage may make progress.
+
+        Cycles the clock has already passed are dropped first, so the heap
+        holds only the pending ones even on cores that never skip.
+        """
         scheduled = self._scheduled
         if at not in scheduled:
+            heap = self._heap
+            cycle = self.cycle
+            while heap and heap[0] < cycle:
+                scheduled.discard(heappop(heap))
             scheduled.add(at)
-            heappush(self._heap, at)
+            heappush(heap, at)
 
     def pending(self):
         """Number of distinct future cycles currently scheduled."""

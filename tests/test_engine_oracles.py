@@ -96,7 +96,8 @@ def entry_digest(entry):
 
 def trace_digests(binary, compiled):
     """The per-entry digest string of ``binary``'s full trace."""
-    interp = binary.interpreter(collect_trace=True, compiled=compiled)
+    interp = binary.interpreter(collect_trace=True, compiled=compiled,
+                                trace_values=True)
     assert interp.run(1_000_000).status in ("halt", "exit")
     return "".join(entry_digest(entry) for entry in interp.trace)
 

@@ -28,12 +28,8 @@ def _assert_compiled_invisible(source, max_steps=500_000):
         assert fast.run_result.steps == base.run_result.steps, label
 
 
-@seed(FUZZ_SEED)
-@settings(max_examples=15, deadline=None)
-@given(block(), st.integers(min_value=1, max_value=5))
-def test_compiled_matches_baseline_on_random_cfgs(body, lim):
-    note(f"REPRO_FUZZ_SEED={FUZZ_SEED}")
-    source = f"""
+def _random_cfg_program(body, lim):
+    return f"""
     int buf[8];
     int helper(int x) {{ return x * 3 - 1; }}
     int main() {{
@@ -49,7 +45,35 @@ def test_compiled_matches_baseline_on_random_cfgs(body, lim):
         return 0;
     }}
     """
-    _assert_compiled_invisible(source)
+
+
+@seed(FUZZ_SEED)
+@settings(max_examples=15, deadline=None)
+@given(block(), st.integers(min_value=1, max_value=5))
+def test_compiled_matches_baseline_on_random_cfgs(body, lim):
+    note(f"REPRO_FUZZ_SEED={FUZZ_SEED}")
+    _assert_compiled_invisible(_random_cfg_program(body, lim))
+
+
+def _compact_trace(binary, compiled, values):
+    interp = binary.interpreter(collect_trace=True, compiled=compiled,
+                                trace_values=values)
+    interp.run(500_000)
+    trace = interp.trace
+    return trace.idx, trace.mem, trace.values, trace.end
+
+
+@seed(FUZZ_SEED)
+@settings(max_examples=10, deadline=None)
+@given(block(), st.integers(min_value=1, max_value=5))
+def test_compiled_and_baseline_compact_traces_match(body, lim):
+    """Block-recorded traces equal the per-op baseline's, field for field —
+    with and without recorded values (the guarded-run mode)."""
+    note(f"REPRO_FUZZ_SEED={FUZZ_SEED}")
+    for label, binary in build(_random_cfg_program(body, lim)).all().items():
+        for values in (False, True):
+            assert (_compact_trace(binary, True, values)
+                    == _compact_trace(binary, False, values)), (label, values)
 
 
 @pytest.fixture(scope="module")

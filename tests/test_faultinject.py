@@ -40,7 +40,8 @@ class TestFaultSpec:
 class TestSingleFaults:
     def _trace_for(self, binary, spec=None, max_steps=2_000_000):
         if spec is None:
-            interp = binary.interpreter(collect_trace=True)
+            # Lockstep compares committed results: record them.
+            interp = binary.interpreter(collect_trace=True, trace_values=True)
             assert interp.run(max_steps).status == "halt"
             return interp
         interp, status, event = run_functional_with_fault(

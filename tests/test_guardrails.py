@@ -333,9 +333,12 @@ class TestEndToEnd:
     def test_lockstep_catches_corrupted_commit_value(self, small_build):
         """A deliberately corrupted architectural result must diverge."""
         binary = small_build.straight_re
-        interp = binary.interpreter(collect_trace=True)
+        interp = binary.interpreter(collect_trace=True, trace_values=True)
         assert interp.run(2_000_000).status == "halt"
-        victims = [e for e in interp.trace if e.op_class == "alu"]
+        # Edit the materialized entries; the engine replays them through
+        # the entry-list adapter.
+        entries = list(interp.trace)
+        victims = [e for e in entries if e.op_class == "alu"]
         victims[len(victims) // 2].dest_value ^= 1 << 7
 
         from repro.uarch.core import OoOCore
@@ -343,7 +346,7 @@ class TestEndToEnd:
         config = straight_2way()
         suite = build_guardrails(config, binary=binary)
         with pytest.raises(DivergenceError) as info:
-            OoOCore(config, guardrails=suite).run(interp.trace)
+            OoOCore(config, guardrails=suite).run(entries)
         err = info.value
         assert err.context["field"] == "dest_value"
         assert err.context["expected"] != err.context["observed"]
@@ -351,9 +354,10 @@ class TestEndToEnd:
 
     def test_lockstep_catches_corrupted_control_flow(self, small_build):
         binary = small_build.riscv
-        interp = binary.interpreter(collect_trace=True)
+        interp = binary.interpreter(collect_trace=True, trace_values=True)
         assert interp.run(2_000_000).status in ("halt", "exit")
-        victim = interp.trace[len(interp.trace) // 2]
+        entries = list(interp.trace)
+        victim = entries[len(entries) // 2]
         victim.pc ^= 0x40
 
         from repro.uarch.core import OoOCore
@@ -361,7 +365,7 @@ class TestEndToEnd:
         config = ss_2way()
         suite = build_guardrails(config, binary=binary)
         with pytest.raises(DivergenceError) as info:
-            OoOCore(config, guardrails=suite).run(interp.trace)
+            OoOCore(config, guardrails=suite).run(entries)
         assert info.value.context["field"] in ("pc", "next_pc")
 
     def test_watchdog_trips_on_wedged_rob(self, small_build):
@@ -370,7 +374,7 @@ class TestEndToEnd:
         from repro.uarch.core import OoOCore
 
         binary = small_build.straight_re
-        interp = binary.interpreter(collect_trace=True)
+        interp = binary.interpreter(collect_trace=True, trace_values=True)
         assert interp.run(2_000_000).status == "halt"
         config = straight_2way(watchdog_cycles=500)
         suite = build_guardrails(

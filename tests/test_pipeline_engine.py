@@ -140,13 +140,12 @@ class _BookkeepingProbe(InvariantChecker):
 
     def __init__(self):
         self.max_reg_ready = 0
-        self.max_iq_entries = 0
+        self.max_waiting = 0
 
     def on_cycle(self, view):
         state = view.core.engine.state
         self.max_reg_ready = max(self.max_reg_ready, len(view.reg_ready))
-        self.max_iq_entries = max(self.max_iq_entries,
-                                  len(state.iq_entries_by_seq))
+        self.max_waiting = max(self.max_waiting, len(state.waiting))
 
 
 class TestCommitPruning:
@@ -156,9 +155,10 @@ class TestCommitPruning:
         core.run(trace)
         state = core.engine.state
         assert state.reg_ready == {}
-        assert state.iq_entries_by_seq == {}
+        assert state.store_addr == {}
         assert state.waiting == {}
         assert state.rob_by_seq == {}
+        assert state.iq_count == 0
 
     def test_bookkeeping_bounded_by_rob_during_run(self):
         """Pruned-at-commit dicts never exceed the in-flight window."""
@@ -169,7 +169,10 @@ class TestCommitPruning:
         trace = _trace(STALL_HEAVY)
         core.run(trace)
         assert 0 < probe.max_reg_ready <= config.rob_entries
-        assert 0 < probe.max_iq_entries <= config.rob_entries
+        assert 0 < probe.max_waiting <= config.rob_entries
+        # Per-instruction issue-queue state lives in rings of ROB size.
+        state = core.engine.state
+        assert len(state.iq_remaining) < 2 * config.rob_entries
         # Steady-state, not O(trace): far more instructions ran than the
         # dicts ever held.
         assert len(trace) > 4 * probe.max_reg_ready

@@ -10,12 +10,13 @@ from repro.power.energy_model import EnergyParams, ModulePower, PowerReport
 
 
 class TestTraceEntry:
-    def test_changes_flow_classification(self):
+    def test_is_control_classification(self):
         branch = TraceEntry(0, "branch", "BEZ")
         jump = TraceEntry(0, "jump", "J")
         alu = TraceEntry(0, "alu", "ADD")
-        assert branch.changes_flow() and jump.changes_flow()
-        assert not alu.changes_flow()
+        assert branch.is_control and jump.is_control
+        assert branch.is_branch and not jump.is_branch
+        assert not alu.is_control
 
     def test_none_sources_dropped(self):
         entry = TraceEntry(0, "alu", "ADD", srcs=(None, 3, None, 5))

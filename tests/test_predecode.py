@@ -67,9 +67,9 @@ class TestEquivalence:
     def test_step_api_matches_run(self):
         """External steppers (lockstep, fault injection) stay bit-exact."""
         binary = _binary()
-        reference = binary.interpreter(collect_trace=True)
+        reference = binary.interpreter(collect_trace=True, trace_values=True)
         reference.run(10_000_000)
-        stepped = binary.interpreter(collect_trace=True)
+        stepped = binary.interpreter(collect_trace=True, trace_values=True)
         instrs = binary.program.instrs
         while not stepped.halted:
             stepped.step(instrs[stepped.pc_index])
@@ -81,11 +81,10 @@ class TestEquivalence:
                    (ref.pc, ref.mnemonic, ref.dest, ref.srcs,
                     ref.dest_value, ref.next_pc, ref.taken)
 
-    def test_trace_is_control_matches_changes_flow(self):
+    def test_trace_is_control_matches_op_class(self):
         binary = _binary()
         interp = binary.interpreter(collect_trace=True)
         interp.run(10_000_000)
         assert interp.trace
         for entry in interp.trace:
-            assert entry.is_control == entry.changes_flow()
             assert entry.is_control == (entry.op_class in ("branch", "jump"))

@@ -4,8 +4,8 @@ The headline guarantee lives in ``TestErrorBound``: sampled IPC lands
 within 2% of the committed full-simulation golden fixtures
 (``tests/fixtures/sampled_golden.json``) on the dhrystone x ISA grid, with
 the schedule the bench scorecard gates on.  The rest pins the mechanics —
-seeded reproducibility, the short-program fallback, segment rebasing,
-stats round-tripping and sweep cache-key separation.
+seeded reproducibility, the short-program fallback, segment-relative
+trace numbering, stats round-tripping and sweep cache-key separation.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.harness.bench import FASTPATH_ACCURACY_PARAMS
 from repro.harness.sampling import (
     SampledRunner,
     SamplingParams,
-    _rebase_segment,
     simulate_sampled,
 )
 from repro.uarch.stats import SimStats
@@ -154,19 +153,31 @@ class TestParams:
         assert clone.sampling == stats.sampling
 
 
-class TestRebase:
-    def test_seq_operands_shift_to_segment_numbering(self):
-        class Entry:
-            def __init__(self, dest, srcs):
-                self.dest = dest
-                self.srcs = srcs
+class TestSegmentTrace:
+    def test_segment_tags_are_trace_relative(self, golden_binaries):
+        """A mid-run segment numbers its instructions from 0, so STRAIGHT
+        producer tags (position − distance) need no rebasing: producers
+        from before the segment come out negative — long retired."""
+        from repro.uarch.core import OoOCore
 
-        segment = [Entry(1000, (998, 999)), Entry(1001, ()),
-                   Entry(1002, (1001,))]
-        _rebase_segment(segment, 1000)
-        assert [e.dest for e in segment] == [0, 1, 2]
-        assert segment[0].srcs == (-2, -1)  # pre-segment producers: retired
-        assert segment[2].srcs == (1,)
+        interp = golden_binaries["STRAIGHT-RE+"].interpreter()
+        interp.run(max_steps=1000)
+        interp.begin_trace()
+        interp.run(max_steps=40)
+        segment = interp.trace
+        assert len(segment) == 40 and segment.base_seq == 1000
+        # Views keep the interpreter's global numbering...
+        assert [e.dest for e in segment] == list(range(1000, 1040))
+        # ...while the engine's tags are segment positions.
+        core = OoOCore(ALL_CORES["STRAIGHT-2way"]())
+        ops = segment.table.ops
+        tags = [core.frontend.rename(ops[index], seq, 0)
+                for seq, index in enumerate(segment.idx)]
+        views = list(segment)
+        for seq, (mine, entry) in enumerate(zip(tags, views)):
+            assert list(mine) == [src - 1000 for src in entry.srcs]
+        assert any(tag < 0 for some in tags for tag in some)  # pre-segment
+        assert core.run(segment).instructions == 40
 
 
 class TestWarmingToggle:
