@@ -175,9 +175,8 @@ class CompactTrace:
         if self._entries is not None:
             return self._entries[k]
         if self._mem_pos is None or len(self._mem_pos) != len(self.idx):
-            ops = self.table.ops
-            is_mem = [op is not None and op.op_class in _MEMORY_CLASSES
-                      for op in ops]
+            # Position k's address index: the loads and stores before it.
+            is_mem = [op is not None and op.is_mem for op in self.table.ops]
             self._mem_pos = list(accumulate(map(is_mem.__getitem__,
                                                 self.idx[:-1]), initial=0))
         return self._view(k, self._mem_pos[k] if self.idx else 0)
@@ -206,8 +205,7 @@ class CompactTrace:
             taken=taken,
             target_pc=target_pc,
             next_pc=next_pc,
-            mem_addr=(self.mem[mem_pos] if op.op_class in _MEMORY_CLASSES
-                      else None),
+            mem_addr=self.mem[mem_pos] if op.is_mem else None,
             is_call=op.is_call,
             is_return=op.is_return,
             is_rmov=op.is_rmov,
@@ -235,7 +233,7 @@ class CompactTrace:
         mem_pos = 0
         for k, index in enumerate(self.idx):
             yield self._view(k, mem_pos)
-            if ops[index].op_class in _MEMORY_CLASSES:
+            if ops[index].is_mem:
                 mem_pos += 1
 
     # -- the adapter ------------------------------------------------------------
@@ -281,9 +279,7 @@ class CompactTrace:
                 fall_pc=-1 if entry.taken else next_pc))
             if entry.op_class in _MEMORY_CLASSES:
                 mem.append(entry.mem_addr)
-        last_pc = (entries[-1].next_pc if entries
-                   and entries[-1].next_pc is not None else -1)
-        ops.append(StaticOp(n, last_pc, "<end>", "nop"))
+        ops.append(StaticOp(n, next_pc if entries else -1, "<end>", "nop"))
         trace = cls()
         trace.idx = list(range(n))
         trace.mem = mem
@@ -292,10 +288,3 @@ class CompactTrace:
         trace._table = TimingTable(ops, n, distance)
         trace._entries = entries
         return trace
-
-
-def as_compact(trace, distance):
-    """``trace`` itself when compact; an adapted copy of an entry list."""
-    if isinstance(trace, CompactTrace):
-        return trace
-    return CompactTrace.from_entries(trace, distance)

@@ -23,7 +23,7 @@ its :class:`~repro.uarch.stats.StatsRegistry` are re-exported here for
 backwards compatibility.
 """
 
-from repro.common.trace import as_compact
+from repro.common.trace import CompactTrace
 from repro.isa.timing import C_LOAD, C_STORE
 from repro.uarch.branch import make_predictor, BranchTargetBuffer, ReturnAddressStack
 from repro.uarch.frontend_models import FRONTEND_MODELS
@@ -62,7 +62,9 @@ class OoOCore:
         :class:`~repro.common.trace.TraceEntry` objects (synthetic or
         edited traces) goes through the one adapter.
         """
-        return as_compact(
+        if isinstance(trace, CompactTrace):
+            return trace
+        return CompactTrace.from_entries(
             trace, self.frontend.register_model == "distance")
 
     def warm_caches(self, trace):

@@ -82,10 +82,10 @@ class RenameFrontEnd:
         else:
             tags = ()
         if dest is None:
-            stats.rename_src_reads += len(srcs)
+            stats.rename_src_reads += op.n_srcs
         else:
             # sources + previous-mapping read of the destination
-            stats.rename_src_reads += len(srcs) + 1
+            stats.rename_src_reads += op.n_srcs + 1
             self.free_regs -= 1
             self.last_writer[dest] = seq
             stats.rename_writes += 1
@@ -150,7 +150,7 @@ class StraightFrontEnd:
             self.stats.spadd_stall_cycles += 1
             return None
         srcs = op.srcs
-        self.stats.opdet_ops += len(srcs)
+        self.stats.opdet_ops += op.n_srcs
         # The producer of a source at distance d is the instruction d
         # positions earlier in the trace: RP − distance (§III-B).
         if len(srcs) == 2:

@@ -19,6 +19,11 @@ Stage order within one cycle is exactly the seed's: completion, commit,
 issue, dispatch, fetch — so all timing is bit-identical to the monolithic
 engine (enforced by the golden snapshots in ``tests/test_golden_snapshots``).
 
+Stages read the replayed trace through the program's static timing table
+(:mod:`repro.isa.timing`): op classes and ports are ints, control outcomes
+come from the successor's PC, and STRAIGHT producer tags are trace
+positions minus source distances.
+
 The clock is owned by an :class:`~repro.uarch.scheduler.EventScheduler`.
 Every stage implements ``can_tick()`` (could it make progress or count a
 stall *this* cycle?) and ``next_wake()`` (the earliest future cycle at which
@@ -49,16 +54,17 @@ from repro.uarch.lsq import LoadStoreQueue
 
 
 class _RobEntry:
-    """One ROB slot.  ``entry`` is what guards see: the static record, or —
-    on guarded runs — the full :class:`~repro.common.trace.TraceEntry`."""
+    """One ROB slot, refilled by every dispatch that lands in it.  ``entry``
+    is what guards see: the static record, or — on guarded runs — the full
+    :class:`~repro.common.trace.TraceEntry`."""
 
     __slots__ = ("seq", "entry", "done", "fetch_cycle")
 
-    def __init__(self, seq=-1, entry=None, fetch_cycle=0):
-        self.seq = seq
-        self.entry = entry
+    def __init__(self):
+        self.seq = -1
+        self.entry = None
         self.done = False
-        self.fetch_cycle = fetch_cycle
+        self.fetch_cycle = 0
 
 
 class PipelineState:
@@ -116,7 +122,8 @@ class PipelineState:
         self.trace = trace
         static = trace.table.ops
         self.ops = list(map(static.__getitem__, trace.idx))
-        self.ops.append(static[trace.end])
+        if self.ops:
+            self.ops.append(static[trace.end])
         self.mem = trace.mem
         self.n = len(trace)
         self.committed = 0
@@ -207,6 +214,10 @@ class CompletionStage(PipelineStage):
             return
         waiting = state.waiting
         rob_by_seq = state.rob_by_seq
+        ready_buckets = state.ready_buckets
+        remaining = state.iq_remaining
+        min_issue = state.iq_min_issue
+        mask = state.ring_mask
         obs = self.obs
         wakeups = 0
         for seq in seqs:
@@ -217,35 +228,27 @@ class CompletionStage(PipelineStage):
                 obs.on_complete(seq, cycle)
             consumers = waiting.pop(seq, None)
             if consumers is not None:
+                # Count down each consumer's unresolved operands.
                 wakeups += len(consumers)
-                self._wake(consumers, cycle)
+                for consumer in consumers:
+                    slot = consumer & mask
+                    left = remaining[slot] - 1
+                    remaining[slot] = left
+                    if min_issue[slot] < cycle:
+                        min_issue[slot] = cycle
+                    if left == 0:
+                        bucket_at = min_issue[slot]
+                        if bucket_at <= cycle:
+                            bucket_at = cycle + 1
+                        bucket = ready_buckets.get(bucket_at)
+                        if bucket is None:
+                            ready_buckets[bucket_at] = [consumer]
+                            self.sched.schedule(bucket_at)
+                        else:
+                            bucket.append(consumer)
             if seq == state.awaiting_branch:
                 self._resolve(seq, cycle)
         self.stats.iq_wakeups += wakeups
-
-    def _wake(self, consumers, cycle):
-        """One producer completed: count down each consumer's operands."""
-        state = self.state
-        ready_buckets = state.ready_buckets
-        remaining = state.iq_remaining
-        min_issue = state.iq_min_issue
-        mask = state.ring_mask
-        for consumer in consumers:
-            slot = consumer & mask
-            left = remaining[slot] - 1
-            remaining[slot] = left
-            if min_issue[slot] < cycle:
-                min_issue[slot] = cycle
-            if left == 0:
-                bucket_at = min_issue[slot]
-                if bucket_at <= cycle:
-                    bucket_at = cycle + 1
-                bucket = ready_buckets.get(bucket_at)
-                if bucket is None:
-                    ready_buckets[bucket_at] = [consumer]
-                    self.sched.schedule(bucket_at)
-                else:
-                    bucket.append(consumer)
 
     def _resolve(self, seq, cycle):
         """The awaited mispredicted branch ``seq`` resolved this cycle."""
@@ -301,9 +304,9 @@ class CommitStage(PipelineStage):
                 freed += 1
             if op.is_mem:
                 if op.cls == C_LOAD:
-                    lsq.loads.pop(seq, None)
+                    lsq.commit_load(seq)
                 else:
-                    lsq.stores.pop(seq, None)
+                    lsq.commit_store(seq)
             # Retired instructions need no further wakeup bookkeeping: a
             # consumer dispatched after this point finds the seq absent from
             # both maps and treats the operand as ready, which is exactly
@@ -488,10 +491,11 @@ class DispatchStage(PipelineStage):
         iq_entries = cfg.iq_entries
         iq_count = state.iq_count
         next_cycle = cycle + 1
-        slots = cfg.fetch_width
+        waiting_in_pipe = len(pipe)
         spadds = 0
-        dispatched = 0
-        while pipe and slots > 0:
+        for _ in range(cfg.fetch_width):
+            if not pipe:
+                break
             seq, ready_at, fetch_cycle = pipe[0]
             if ready_at > cycle:
                 break
@@ -509,8 +513,6 @@ class DispatchStage(PipelineStage):
             if tags is None:
                 break  # the front-end model refused (its stall is counted)
             pipe.popleft()
-            slots -= 1
-            dispatched += 1
             if op.is_spadd:
                 spadds += 1
             rob_entry = rob_slots[seq & mask]
@@ -559,16 +561,14 @@ class DispatchStage(PipelineStage):
                 else:
                     bucket.append(seq)
         state.iq_count = iq_count
+        dispatched = waiting_in_pipe - len(pipe)
         if dispatched:
             self.stats.rob_writes += dispatched
 
     def _lsq_room(self, op):
         """Whether the LSQ has a free entry for ``op`` (else: a stall)."""
         lsq = self.core.lsq
-        if op.cls == C_LOAD:
-            room = len(lsq.loads) < lsq.load_entries
-        else:
-            room = len(lsq.stores) < lsq.store_entries
+        room = lsq.can_add_load() if op.cls == C_LOAD else lsq.can_add_store()
         if not room:
             self.stats.lsq_full_stalls += 1
         return room
@@ -625,9 +625,8 @@ class FetchStage(PipelineStage):
         cycle = self.sched.cycle
         if state.awaiting_branch is not None or cycle < state.fetch_resume:
             return
-        n = state.n
         fetch_idx = state.fetch_idx
-        if fetch_idx >= n:
+        if fetch_idx >= state.n:
             return
         cfg = self.cfg
         ops = state.ops
@@ -635,20 +634,16 @@ class FetchStage(PipelineStage):
         line_shift = state.line_shift
         last_line = state.last_fetch_line
         obs = self.obs
-        width = cfg.fetch_width
         dispatch_at = cycle + cfg.frontend_depth
-        fetched = 0
-        while fetched < width and fetch_idx < n:
-            op = ops[fetch_idx]
+        for seq in range(fetch_idx, min(state.n, fetch_idx + cfg.fetch_width)):
+            op = ops[seq]
             line = op.pc >> line_shift
             if line != last_line:
                 last_line = line
                 if self._icache_miss(op.pc, cycle):
                     break
-            pipe.append((fetch_idx, dispatch_at, cycle))
-            seq = fetch_idx
-            fetch_idx += 1
-            fetched += 1
+            pipe.append((seq, dispatch_at, cycle))
+            fetch_idx = seq + 1
             if obs is not None:
                 obs.on_fetch(seq, op, cycle)
             if op.is_control:

@@ -22,8 +22,6 @@ from repro.straight import StraightInterpreter, link_program, parse_assembly
 from repro.straight import startup_stub
 from repro.uarch.core import OoOCore
 from tests.conftest import SMALL_PROGRAM
-from tests.test_engine_oracles import _load, SIMSTATS_FIXTURE
-from tests.test_golden_snapshots import BRANCHY_DIV
 
 # A loop whose BEZ/beq targets its own fall-through: taken on even
 # iterations, not taken on odd ones.  Only the recorded taken twin tells
@@ -173,18 +171,18 @@ class TestWarmCaches:
 
 
 class TestSchedulerPruning:
-    def test_never_skipping_core_keeps_few_pending_cycles(self):
-        """bb cores step every cycle, so the clock never asks for the next
-        event; passed cycles must still leave the scheduler."""
-        binary = build(BRANCHY_DIV).all()["BB"]
-        interp = binary.interpreter(collect_trace=True)
+    def test_bb_run_keeps_few_pending_cycles(self, small_binaries):
+        """bb cores rarely skip, so the clock seldom asks for the next event
+        (which used to be the only place passed cycles left the scheduler:
+        this run ended holding 1410 of them); the cycle count is the one
+        the engine gave before pruning moved."""
+        interp = small_binaries["bb"].interpreter(collect_trace=True)
         interp.run(1_000_000)
         core = OoOCore(ALL_CORES["BB-4way"]())
         stats = core.run(interp.trace)
-        want = _load(SIMSTATS_FIXTURE)["BB-4way/BB/cold/branchy_div"]
-        assert stats.cycles == want["cycles"]
+        assert stats.cycles == 2739
         sched = core.engine.sched
-        assert sched.pending() < 64
+        assert sched.pending() < 16
         assert len(sched._heap) == sched.pending()
 
     def test_schedule_drops_passed_cycles(self):
