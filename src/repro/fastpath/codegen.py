@@ -115,6 +115,15 @@ class SourceWriter:
         return "\n".join(self._lines) + "\n"
 
 
+def emit_record_address(w):
+    """Emit a block's hand-off of the address local ``_a`` to the trace's
+    address recorder ``ma``, which only trace-collecting runs pass."""
+    w.line("if ma is not None:")
+    w.indent()
+    w.line("ma(_a)")
+    w.dedent()
+
+
 def emit_record(w, recorded, mem_addr, value):
     """Emit a handler's trace recording, taken when the run collects one.
 

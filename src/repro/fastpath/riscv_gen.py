@@ -32,6 +32,7 @@ from repro.fastpath.codegen import (
     compile_namespace,
     control_descriptors,
     emit_record,
+    emit_record_address,
     icmp_cond,
     icmp_expr,
 )
@@ -119,7 +120,8 @@ def _emit_op(w, fwd, op, k, pc, in_block=False):
         w.indent()
         w.line(f"_mis('load', _a, {pc})")
         w.dedent()
-        _record_address(w, in_block)
+        if in_block:
+            emit_record_address(w)
         mem_addr = "_a"
         if op.dest is not None:
             w.line(f"v{k} = mem.get(_a >> 2, 0)")
@@ -131,7 +133,8 @@ def _emit_op(w, fwd, op, k, pc, in_block=False):
         w.indent()
         w.line(f"_mis('store', _a, {pc})")
         w.dedent()
-        _record_address(w, in_block)
+        if in_block:
+            emit_record_address(w)
         w.line(f"mem[_a >> 2] = {_read(fwd, rs2)}")
         mem_addr = "_a"
     elif kind == RK_BRANCH:
@@ -170,14 +173,6 @@ def _emit_op(w, fwd, op, k, pc, in_block=False):
     else:  # pragma: no cover - closed opcode table
         raise ValueError(f"unimplemented kind {kind} ({m})")
     return value, cond_name, mem_addr
-
-
-def _record_address(w, in_block):
-    if in_block:
-        w.line("if ma is not None:")
-        w.indent()
-        w.line("ma(_a)")
-        w.dedent()
 
 
 def _write_dest(w, fwd, op, value):

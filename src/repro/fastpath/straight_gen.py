@@ -45,6 +45,7 @@ from repro.fastpath.codegen import (
     compile_namespace,
     control_descriptors,
     emit_record,
+    emit_record_address,
     icmp_cond,
 )
 from repro.straight.predecode import (
@@ -167,7 +168,8 @@ def _emit_value(w, state, op, k, srcs, in_block=False):
         w.indent()
         w.line(f"_mis('load', _a, {pc})")
         w.dedent()
-        _record_address(w, in_block)
+        if in_block:
+            emit_record_address(w)
         w.line(f"v{k} = mem.get(_a >> 2, 0)")
         value = f"v{k}"
         mem_addr = "_a"
@@ -181,7 +183,8 @@ def _emit_value(w, state, op, k, srcs, in_block=False):
         w.indent()
         w.line(f"_mis('store', _a, {pc})")
         w.dedent()
-        _record_address(w, in_block)
+        if in_block:
+            emit_record_address(w)
         w.line(f"mem[_a >> 2] = {srcs[0]}")
         value = srcs[0]  # "store value is returned" (paper §III-A)
         mem_addr = "_a"
@@ -204,14 +207,6 @@ def _emit_value(w, state, op, k, srcs, in_block=False):
     else:  # K_BEZ / K_BNZ / K_JUMP / K_RET / K_NOP write zero
         value = 0
     return value, mem_addr
-
-
-def _record_address(w, in_block):
-    if in_block:
-        w.line("if ma is not None:")
-        w.indent()
-        w.line("ma(_a)")
-        w.dedent()
 
 
 def _emit_dest(w, k, value):

@@ -173,8 +173,7 @@ class TestSegmentTrace:
         ops = segment.table.ops
         tags = [core.frontend.rename(ops[index], seq, 0)
                 for seq, index in enumerate(segment.idx)]
-        views = list(segment)
-        for seq, (mine, entry) in enumerate(zip(tags, views)):
+        for mine, entry in zip(tags, segment):
             assert list(mine) == [src - 1000 for src in entry.srcs]
         assert any(tag < 0 for some in tags for tag in some)  # pre-segment
         assert core.run(segment).instructions == 40
