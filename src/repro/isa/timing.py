@@ -1,12 +1,11 @@
 """The static timing table: per-PC facts the timing engine reads as ints.
 
-The functional trace used to carry, for every dynamic instruction, a
-17-slot record re-stating static facts — op class, mnemonic, source tags,
-call/return flags — that the timing engine then re-derived from strings
-every cycle.  A linked binary has only a few thousand static instructions,
-so this module computes those facts once per program, memoized on the
-program object like :func:`repro.isa.predecode.decode_program`, and the
-dynamic trace shrinks to static indices plus memory addresses (see
+A linked binary has a few thousand static instructions while a run
+retires hundreds of thousands, so the facts the timing engine needs about
+an instruction — op class, port, control flags, dependence sources — are
+computed once per program, memoized on the program object like
+:func:`repro.isa.predecode.decode_program`, and the dynamic trace holds
+only static indices plus memory addresses (see
 :class:`repro.common.trace.CompactTrace`).
 
 One :class:`StaticOp` per static instruction holds the op-class int, the
