@@ -23,18 +23,17 @@ technique, done with textual codegen + ``exec``):
   first-occurrence order the baseline produces, so the final statistics
   dicts are identical — iteration order included.
 
-Two function sets are generated per program and memoized on the program
-object (one compile per linked binary, like pre-decode itself):
-
-* **block functions** — whole-block execution, used by every run and the
-  sampled-simulation fast-forward; a trace-collecting run passes each one
-  the trace's memory-address recorder and records the block's static
-  indices as one span (:class:`~repro.common.trace.CompactTrace`);
-* **per-op handlers** — single-instruction execution that records itself
-  into the trace, used for ``step()`` (so the lockstep golden machine
-  exercises the same generated code it guards), for runs that record every
-  result (guarded runs) and for landing exactly on ``max_steps``/window
-  boundaries or on a computed jump target inside a block.
+One function set is generated per program and memoized on the program
+object (one compile per linked binary, like pre-decode itself): a block
+function per basic block, used by every run and the sampled-simulation
+fast-forward.  A trace-collecting run passes each one the trace's
+memory-address recorder and records the block's static indices as one span
+(:class:`~repro.common.trace.CompactTrace`).  Single instructions go
+through the interpreter's own ``step_op``: ``step()``, landing exactly on
+``max_steps``/window boundaries, a computed jump target inside a block,
+and blocks whose span the index stream cannot express.  Interpreters that
+run no generated code compile none: one whose trace records every result
+(guarded runs, fault campaigns) takes the baseline loop.
 
 Architectural state is bit-identical to the baseline interpreter loop on
 every run that completes without a :class:`SimulationError`.  On error
@@ -98,22 +97,23 @@ def run_compiled(it, max_steps):
     """Drive interpreter ``it`` through its compiled program.
 
     Runs execute whole blocks; the final instructions before ``max_steps``
-    go through the per-op handlers so the step count is exact.  A computed
-    jump landing mid-block (``JR``/``JALR`` to a non-leader) single-steps
-    until the next block boundary.  A trace-collecting run records each
-    block as its span of static indices plus its memory addresses; a trace
-    that keeps every result steps through the handlers alone.  Returns the
+    go through ``step_op`` so the step count is exact.  A computed jump
+    landing mid-block (``JR``/``JALR`` to a non-leader) single-steps until
+    the next block boundary.  A trace-collecting run records each block as
+    its span of static indices plus its memory addresses (the trace keeps
+    no results: interpreters that record them never compile).  Returns the
     number of instructions executed.
     """
     fast = it._fast
     blocks = fast.block_funcs
     lens = fast.block_lens
-    handlers = fast.op_handlers
+    decoded = it.decoded
+    step_op = it.step_op
     n = fast.n
     steps = 0
     if it.collect_trace:
         trace = it.trace
-        spans = fast.block_spans if trace.values is None else [None] * n
+        spans = fast.block_spans
         extend = trace.idx.extend
         record_mem = trace.mem.append
         while not it.halted and steps < max_steps:
@@ -128,7 +128,7 @@ def run_compiled(it, max_steps):
                 extend(span)
                 steps += lens[index]
             else:
-                handlers[index](it)
+                step_op(decoded[index])
                 steps += 1
         return steps
     while not it.halted and steps < max_steps:
@@ -140,7 +140,7 @@ def run_compiled(it, max_steps):
             fn(it)
             steps += lens[index]
         else:
-            handlers[index](it)
+            step_op(decoded[index])
             steps += 1
     return steps
 
@@ -159,7 +159,8 @@ def run_compiled_warming(it, max_steps, note):
     fast = it._fast
     blocks = fast.block_funcs
     lens = fast.block_lens
-    handlers = fast.op_handlers
+    decoded = it.decoded
+    step_op = it.step_op
     term_at = fast.term_at
     n = fast.n
     steps = 0
@@ -173,7 +174,7 @@ def run_compiled_warming(it, max_steps, note):
             steps += lens[index]
             term = term_at[index + lens[index] - 1]
         else:
-            handlers[index](it)
+            step_op(decoded[index])
             steps += 1
             term = term_at[index]
         if term is not None:

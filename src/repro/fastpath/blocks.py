@@ -5,8 +5,9 @@ and the instruction after any terminator (conditional branches, jumps,
 calls, returns/indirect jumps, halting instructions) — i.e. the classic
 basic-block definition over the ``DecodedOp`` array.  Computed-jump
 targets (``JR``/``JALR``) are not statically known; the dispatch driver
-falls back to per-op handlers when one lands inside a block, so the
-partition only has to be *sound* (no terminator mid-block), not complete.
+single-steps through the interpreter's ``step_op`` when one lands inside a
+block, so the partition only has to be *sound* (no terminator mid-block),
+not complete.
 """
 
 

@@ -2,14 +2,13 @@
 
 Both ISA generators (:mod:`repro.fastpath.straight_gen`,
 :mod:`repro.fastpath.riscv_gen`) emit one Python module's worth of source
-text per linked binary — a block function per basic block plus a per-op
-handler per instruction — and ``exec`` it once against a small namespace
-of pre-bound helpers.  This module owns the pieces that are identical on
-both sides:
+text per linked binary — one function per basic block — and ``exec`` it
+once against a small namespace of pre-bound helpers.  This module owns the
+pieces that are identical on both sides:
 
 * :class:`SourceWriter` — indentation-tracking line buffer;
 * :class:`CompiledProgram` — the compiled artifact the dispatch driver
-  consumes (dense block/handler tables);
+  consumes (dense block tables);
 * the inline 32-bit ALU/compare expression templates, textually mirroring
   :func:`repro.ir.passes.constfold.eval_binop` / ``eval_icmp`` exactly —
   divide/remainder keep their subtle corner semantics (including the
@@ -32,18 +31,16 @@ SIGN = 2147483648     # 0x8000_0000
 class CompiledProgram:
     """The compiled fast path of one linked binary (static, shareable)."""
 
-    __slots__ = ("n", "block_funcs", "block_lens", "op_handlers", "min_mrp",
+    __slots__ = ("n", "block_funcs", "block_lens", "min_mrp",
                  "block_ranges", "term_at", "block_spans")
 
-    def __init__(self, n, block_funcs, block_lens, op_handlers, min_mrp=0,
+    def __init__(self, n, block_funcs, block_lens, min_mrp=0,
                  block_ranges=(), term_at=(), block_spans=()):
         self.n = n
         #: Dense tables indexed by instruction index: a block function (and
         #: its length) at each leader, None/0 elsewhere.
         self.block_funcs = block_funcs
         self.block_lens = block_lens
-        #: One single-instruction handler per index (trace-capable).
-        self.op_handlers = op_handlers
         #: Smallest ``max_rp`` the intra-block forwarding is valid for
         #: (STRAIGHT only): a forwarded distance ``d`` reads the producer's
         #: local, which matches the register file only while no later
@@ -121,26 +118,6 @@ def emit_record_address(w):
     w.line("if ma is not None:")
     w.indent()
     w.line("ma(_a)")
-    w.dedent()
-
-
-def emit_record(w, recorded, mem_addr, value):
-    """Emit a handler's trace recording, taken when the run collects one.
-
-    ``recorded`` is the static-index expression, ``mem_addr`` the address
-    local of a load or store (None otherwise), ``value`` the result
-    expression kept by traces that record values.
-    """
-    w.line("if it.collect_trace:")
-    w.indent()
-    w.line("_tr = it.trace")
-    w.line(f"_tr.idx.append({recorded})")
-    if mem_addr is not None:
-        w.line(f"_tr.mem.append({mem_addr})")
-    w.line("if _tr.values is not None:")
-    w.indent()
-    w.line(f"_tr.values.append({value})")
-    w.dedent()
     w.dedent()
 
 

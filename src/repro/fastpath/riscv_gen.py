@@ -31,7 +31,6 @@ from repro.fastpath.codegen import (
     block_spans,
     compile_namespace,
     control_descriptors,
-    emit_record,
     emit_record_address,
     icmp_cond,
     icmp_expr,
@@ -77,17 +76,17 @@ def _addr_expr(w, fwd, rs1, imm):
         w.line(f"_a = ({base} + {imm}) & {MASK}")
 
 
-def _emit_op(w, fwd, op, k, pc, in_block=False):
-    """Emit one op's computation; returns (value_expr, bool_name, mem).
+def _emit_op(w, fwd, op, k):
+    """Emit one op's computation; returns (value_expr, bool_name).
 
-    Inside a block a load or store also hands its address to the trace's
-    recorder ``ma`` when one was passed.
+    A load or store also hands its address to the trace's recorder ``ma``
+    when one was passed.
     """
     kind = op.kind
+    pc = op.pc
     m = op.mnemonic
     value = None
     cond_name = None
-    mem_addr = None
     if kind == RK_ALU or kind == RK_ALU_IMM:
         if kind == RK_ALU:
             _, rs1, rs2 = op.operand
@@ -96,7 +95,7 @@ def _emit_op(w, fwd, op, k, pc, in_block=False):
             _, rs1, b = op.operand  # pre-wrapped immediate
             a = _read(fwd, rs1)
         if op.dest is None:
-            return None, None, None  # pure compute into x0: nothing observable
+            return None, None  # pure compute into x0: nothing observable
         name = _R_BINOPS.get(m) or _I_BINOPS.get(m)
         if name is not None:
             expr = binop_expr(name, a, b)
@@ -120,9 +119,7 @@ def _emit_op(w, fwd, op, k, pc, in_block=False):
         w.indent()
         w.line(f"_mis('load', _a, {pc})")
         w.dedent()
-        if in_block:
-            emit_record_address(w)
-        mem_addr = "_a"
+        emit_record_address(w)
         if op.dest is not None:
             w.line(f"v{k} = mem.get(_a >> 2, 0)")
             value = f"v{k}"
@@ -133,10 +130,8 @@ def _emit_op(w, fwd, op, k, pc, in_block=False):
         w.indent()
         w.line(f"_mis('store', _a, {pc})")
         w.dedent()
-        if in_block:
-            emit_record_address(w)
+        emit_record_address(w)
         w.line(f"mem[_a >> 2] = {_read(fwd, rs2)}")
-        mem_addr = "_a"
     elif kind == RK_BRANCH:
         _, rs1, rs2 = op.operand
         pred = _BRANCH_PREDS[m]
@@ -172,7 +167,7 @@ def _emit_op(w, fwd, op, k, pc, in_block=False):
         pass  # block header: decode-stage marker, no architectural effect
     else:  # pragma: no cover - closed opcode table
         raise ValueError(f"unimplemented kind {kind} ({m})")
-    return value, cond_name, mem_addr
+    return value, cond_name
 
 
 def _write_dest(w, fwd, op, value):
@@ -192,22 +187,18 @@ def _write_dest(w, fwd, op, value):
         fwd.pop(op.dest, None)
 
 
-def _block_prologue(w, ops, signature):
-    w.line(f"def {signature}:")
+def _emit_block(w, decoded, start, end):
+    ops = decoded[start:end]
+    w.line(f"def _b{start}(it, ma=None):")
     w.indent()
     w.line("regs = it.regs")
     if any(op.kind in _MEM_KINDS for op in ops):
         w.line("mem = it.memory")
-
-
-def _emit_block(w, decoded, start, end):
-    ops = decoded[start:end]
-    _block_prologue(w, ops, f"_b{start}(it, ma=None)")
     fwd = {}
     counts = {}
     last_cond = None
     for k, op in enumerate(ops):
-        value, cond_name, _ = _emit_op(w, fwd, op, k, op.pc, in_block=True)
+        value, cond_name = _emit_op(w, fwd, op, k)
         _write_dest(w, fwd, op, value)
         counts[op.mnemonic] = counts.get(op.mnemonic, 0) + 1
         last_cond = cond_name
@@ -235,45 +226,6 @@ def _emit_block(w, decoded, start, end):
     w.line()
 
 
-def _emit_handler(w, op, n):
-    """Emit one `_h{index}` single-op handler (trace-recording).
-
-    ``n`` is the program length: a taken branch to its own fall-through
-    records its taken twin ``n + 1 + index`` (see
-    :mod:`repro.isa.timing`).
-    """
-    i = op.index
-    pc = op.pc
-    kind = op.kind
-    _block_prologue(w, (op,), f"_h{i}(it)")
-    fwd = {}  # handlers never forward: they read the live register file
-    value, cond_name, mem_addr = _emit_op(w, fwd, op, 0, pc)
-    next_index = str(i + 1)
-    recorded = str(i)
-    if kind == RK_BRANCH:
-        next_index = f"({op.target_index} if {cond_name} else {i + 1})"
-        if op.target_index == i + 1:
-            recorded = f"({n + 1 + i} if {cond_name} else {i})"
-    elif kind == RK_JAL:
-        next_index = str(op.target_index)
-    elif kind == RK_JALR:
-        next_index = "_ni"
-    _write_dest(w, {}, op, value)
-    mnemonic = op.mnemonic
-    w.line("_mc = it.mnemonic_counts")
-    w.line(f"_mc[{mnemonic!r}] = _mc.get({mnemonic!r}, 0) + 1")
-    if op.dest is not None:
-        dest_value = value if value is not None else f"regs[{op.dest}]"
-    elif kind == RK_STORE:
-        dest_value = _read({}, op.operand[1])  # the stored (wrapped) word
-    else:
-        dest_value = "None"
-    emit_record(w, recorded, mem_addr, dest_value)
-    w.line(f"it.pc_index = {next_index}")
-    w.dedent()
-    w.line()
-
-
 def compile_program(program):
     """Compile ``program`` into a :class:`CompiledProgram` (one exec)."""
     decoded = decode_program(program)
@@ -282,8 +234,6 @@ def compile_program(program):
     w = SourceWriter()
     for start, end in ranges:
         _emit_block(w, decoded, start, end)
-    for op in decoded:
-        _emit_handler(w, op, n)
     namespace = base_namespace(program)
     compile_namespace(w.text(), namespace, f"riscv:{program.text_base:#x}")
     block_funcs = [None] * n
@@ -291,10 +241,9 @@ def compile_program(program):
     for start, end in ranges:
         block_funcs[start] = namespace[f"_b{start}"]
         block_lens[start] = end - start
-    handlers = [namespace[f"_h{op.index}"] for op in decoded]
     term_at = control_descriptors(decoded, call_return)
     return CompiledProgram(
-        n, block_funcs, block_lens, handlers,
+        n, block_funcs, block_lens,
         min_mrp=0, block_ranges=tuple(ranges), term_at=term_at,
         block_spans=block_spans(decoded, ranges),
     )

@@ -1,13 +1,11 @@
 """STRAIGHT block compiler: DecodedOp arrays -> specialized Python closures.
 
 Generates, per linked STRAIGHT binary, one module of Python source holding
-
-* ``_b{start}(it, ma=None)`` — a function per basic block executing the
-  whole block (the run / fast-forward hot path); a trace-collecting run
-  passes ``ma``, which receives every load/store address in order;
-* ``_h{index}`` — a function per instruction executing exactly one op and
-  recording it into ``it.trace`` when collecting (``step()``, lockstep
-  golden, guarded runs, boundary landing).
+one ``_b{start}(it, ma=None)`` function per basic block, executing the
+whole block (the run / fast-forward hot path); a trace-collecting run
+passes ``ma``, which receives every load/store address in order.  Single
+instructions (``step()``, landings inside a block) run through the
+interpreter's own ``step_op``.
 
 The generated code preserves the baseline interpreter's semantics exactly:
 
@@ -44,7 +42,6 @@ from repro.fastpath.codegen import (
     block_spans,
     compile_namespace,
     control_descriptors,
-    emit_record,
     emit_record_address,
     icmp_cond,
 )
@@ -90,24 +87,19 @@ class _BlockState:
         self.max_forward = 0
 
 
-def _read_source(w, state, op, k, slot, distance, checked):
+def _read_source(w, state, op, k, slot, distance):
     """Emit one source read; returns its value expression.
 
-    ``k`` is the op's offset in the block (0 for handlers, which pass
-    ``checked='handler'`` to get inline histogram updates).  Distance
-    histogram updates are batched into ``state.hist`` for blocks and
-    emitted inline for handlers.
+    ``k`` is the op's offset in the block.  Distance histogram updates are
+    batched into ``state.hist``.
     """
     if distance == 0:
         return 0
-    handler = checked == "handler"
-    if not handler:
-        state.hist[distance] = state.hist.get(distance, 0) + 1
-        back = distance - k
-        if back <= 0:
-            # Intra-block producer: forward its value through the local.
-            state.max_forward = max(state.max_forward, distance)
-            return state.values[k - distance]
+    state.hist[distance] = state.hist.get(distance, 0) + 1
+    if distance <= k:
+        # Intra-block producer: forward its value through the local.
+        state.max_forward = max(state.max_forward, distance)
+        return state.values[k - distance]
     pc = op.pc
     name = f"a{k}_{slot}"
     w.line(f"_p = seq - {distance - k}")
@@ -120,24 +112,20 @@ def _read_source(w, state, op, k, slot, distance, checked):
     w.indent()
     w.line(f"_stale(it, {distance}, _p, _q, {pc})")
     w.dedent()
-    if handler:
-        w.line(f"_dh[{distance}] = _dh.get({distance}, 0) + 1")
     w.line(f"{name} = regs[_q]")
     return name
 
 
-def _emit_value(w, state, op, k, srcs, in_block=False):
-    """Emit the op's computation; returns (value_expr, mem_addr_local).
+def _emit_value(w, state, op, k, srcs):
+    """Emit the op's computation; returns its value expression.
 
-    ``value_expr`` is what gets written to the destination register (an
-    int literal or an assigned-once local/source name, always a wrapped
-    word).  ``mem_addr_local`` names the effective-address local of a load
-    or store (None otherwise); inside a block it is also handed to the
-    trace's address recorder ``ma`` when one was passed.
+    That is what gets written to the destination register (an int literal
+    or an assigned-once local/source name, always a wrapped word).  A load
+    or store also hands its effective address to the trace's address
+    recorder ``ma`` when one was passed.
     """
     kind = op.kind
     pc = op.pc
-    mem_addr = None
     if kind == K_ALU:
         name = _ALU_BINOPS[op.mnemonic]
         w.line(f"v{k} = {binop_expr(name, srcs[0], srcs[1])}")
@@ -168,11 +156,9 @@ def _emit_value(w, state, op, k, srcs, in_block=False):
         w.indent()
         w.line(f"_mis('load', _a, {pc})")
         w.dedent()
-        if in_block:
-            emit_record_address(w)
+        emit_record_address(w)
         w.line(f"v{k} = mem.get(_a >> 2, 0)")
         value = f"v{k}"
-        mem_addr = "_a"
     elif kind == K_STORE:
         offset = op.operand
         if offset == 0:
@@ -183,11 +169,9 @@ def _emit_value(w, state, op, k, srcs, in_block=False):
         w.indent()
         w.line(f"_mis('store', _a, {pc})")
         w.dedent()
-        if in_block:
-            emit_record_address(w)
+        emit_record_address(w)
         w.line(f"mem[_a >> 2] = {srcs[0]}")
         value = srcs[0]  # "store value is returned" (paper §III-A)
-        mem_addr = "_a"
     elif kind == K_RMOV:
         value = srcs[0]
     elif kind == K_LUI:
@@ -206,7 +190,7 @@ def _emit_value(w, state, op, k, srcs, in_block=False):
         value = 0
     else:  # K_BEZ / K_BNZ / K_JUMP / K_RET / K_NOP write zero
         value = 0
-    return value, mem_addr
+    return value
 
 
 def _emit_dest(w, k, value):
@@ -268,10 +252,10 @@ def _emit_block(w, decoded, start, end):
     last_srcs = []
     for k, op in enumerate(ops):
         srcs = [
-            _read_source(w, state, op, k, slot, d, "block")
+            _read_source(w, state, op, k, slot, d)
             for slot, d in enumerate(op.srcs)
         ]
-        value, _ = _emit_value(w, state, op, k, srcs, in_block=True)
+        value = _emit_value(w, state, op, k, srcs)
         state.values[k] = value
         _emit_dest(w, k, value)
         state.counts[op.mnemonic] = state.counts.get(op.mnemonic, 0) + 1
@@ -308,57 +292,6 @@ def _emit_block(w, decoded, start, end):
     return state.max_forward
 
 
-def _emit_handler(w, op, n):
-    """Emit one `_h{index}` single-op handler (trace-recording).
-
-    ``n`` is the program length: a taken branch to its own fall-through
-    records its taken twin ``n + 1 + index`` (see
-    :mod:`repro.isa.timing`).
-    """
-    i = op.index
-    kind = op.kind
-    state = _BlockState()
-    has_reads = any(d for d in op.srcs)
-    w.line(f"def _h{i}(it):")
-    w.indent()
-    w.line("seq = it.seq")
-    w.line("regs = it.regs")
-    w.line("ws = it.written_seq")
-    w.line("mrp = it.max_rp")
-    if has_reads:
-        w.line("chk = it.check_distances")
-        w.line("_dh = it.distance_hist")
-    if kind in _MEM_KINDS:
-        w.line("mem = it.memory")
-    srcs = [
-        _read_source(w, state, op, 0, slot, d, "handler")
-        for slot, d in enumerate(op.srcs)
-    ]
-    value, mem_addr = _emit_value(w, state, op, 0, srcs)
-    # Control resolution (handlers own their pc update).
-    next_index = str(i + 1)
-    recorded = str(i)
-    if kind in (K_BEZ, K_BNZ):
-        cond = _branch_condition(state, op, 0, srcs[0])
-        w.line(f"_t = {cond}")
-        next_index = f"({op.target_index} if _t else {i + 1})"
-        if op.target_index == i + 1:
-            recorded = f"({n + 1 + i} if _t else {i})"
-    elif kind in (K_JUMP, K_CALL):
-        next_index = str(op.target_index)
-    elif kind == K_RET:
-        next_index = f"_iop({srcs[0]})"
-    _emit_dest(w, 0, value)
-    mnemonic = op.mnemonic
-    w.line("_mc = it.mnemonic_counts")
-    w.line(f"_mc[{mnemonic!r}] = _mc.get({mnemonic!r}, 0) + 1")
-    emit_record(w, recorded, mem_addr, value)
-    w.line("it.seq = seq + 1")
-    w.line(f"it.pc_index = {next_index}")
-    w.dedent()
-    w.line()
-
-
 def compile_program(program):
     """Compile ``program`` into a :class:`CompiledProgram` (one exec)."""
     decoded = decode_program(program)
@@ -368,8 +301,6 @@ def compile_program(program):
     min_mrp = 0
     for start, end in ranges:
         min_mrp = max(min_mrp, _emit_block(w, decoded, start, end))
-    for op in decoded:
-        _emit_handler(w, op, n)
     namespace = base_namespace(program)
     compile_namespace(w.text(), namespace, f"straight:{program.text_base:#x}")
     block_funcs = [None] * n
@@ -377,12 +308,11 @@ def compile_program(program):
     for start, end in ranges:
         block_funcs[start] = namespace[f"_b{start}"]
         block_lens[start] = end - start
-    handlers = [namespace[f"_h{op.index}"] for op in decoded]
     term_at = control_descriptors(
         decoded, lambda op: (op.kind == K_CALL, op.kind == K_RET)
     )
     return CompiledProgram(
-        n, block_funcs, block_lens, handlers,
+        n, block_funcs, block_lens,
         min_mrp=min_mrp, block_ranges=tuple(ranges), term_at=term_at,
         block_spans=block_spans(decoded, ranges),
     )

@@ -3,7 +3,8 @@
 The timing engine is trace-driven, so the commit stream it produces is the
 trace the front-end interpreter generated.  The lockstep monitor re-executes
 the *program* on a second, independent interpreter instance (the golden
-machine) one instruction per commit and compares, at every commit:
+machine, uncompiled: it single-steps through ``step_op``) one instruction
+per commit and compares, at every commit:
 
 * the committing PC against the golden PC,
 * the architectural result (``dest_value``) against the golden write,
@@ -33,7 +34,7 @@ class LockstepMonitor:
         #: 'distance' (every instruction writes the next circular RP) or
         #: 'gpr' (named registers; writes only when ``dest`` is set).
         self.register_model = isa_registry.get(binary.isa).register_model
-        self.golden = binary.interpreter(collect_trace=False)
+        self.golden = binary.interpreter(collect_trace=False, compiled=False)
         self.compared = 0
         self.window = window
 
@@ -54,14 +55,7 @@ class LockstepMonitor:
             if not 0 <= golden.pc_index < len(decoded):
                 self._diverge("pc_index", f"[0, {len(decoded)})",
                               golden.pc_index, entry, cycle)
-            step_current = getattr(golden, "step_current", None)
-            if step_current is not None:
-                # Dispatches through the compiled per-op handlers when the
-                # threaded-code fast path is active, so lockstep guards the
-                # same generated code production runs execute.
-                step_current()
-            else:
-                golden.step_op(decoded[golden.pc_index])
+            golden.step_op(decoded[golden.pc_index])
         else:
             instrs = golden.program.instrs
             if not 0 <= golden.pc_index < len(instrs):

@@ -79,10 +79,11 @@ class RiscvInterpreter:
         self.mnemonic_counts = {}
         #: Threaded-code fast path (None: baseline step_op loop).  The
         #: ``compiled`` argument overrides the ``STRAIGHT_FASTPATH`` global
-        #: toggle per instance.
+        #: toggle per instance.  Block functions record no results, so a
+        #: trace that keeps them takes the baseline loop.
         self._fast = None
         use_fast = fastpath.enabled() if compiled is None else compiled
-        if use_fast:
+        if use_fast and not trace_values:
             self._fast = fastpath.compiled_for(program, "riscv")
 
     def begin_trace(self, values=False):
@@ -140,44 +141,26 @@ class RiscvInterpreter:
 
         ``instr`` must be the instruction at the current ``pc_index`` (the
         contract every caller already honours); the pre-decoded record for it
-        is reused when it matches, so external steppers (lockstep golden,
-        fault campaigns) ride the same decode-once fast path as :meth:`run`.
-        A non-matching ``instr`` (fault campaigns mutate instructions in
-        place) falls back to a one-off decode + baseline step, bypassing the
-        compiled handlers, which are specialized to the linked binary.
+        is reused when it matches, so external steppers (fault campaigns)
+        decode nothing before :meth:`step_op` runs it.  A non-matching
+        ``instr`` (fault campaigns mutate instructions in place) is decoded
+        once on the spot.
         """
         decoded = self.decoded
         index = self.pc_index
         if 0 <= index < len(decoded) and decoded[index].instr is instr:
-            if self._fast is not None:
-                self._fast.op_handlers[index](self)
-                self.trace.end = self.pc_index
-                return
             op = decoded[index]
         else:
             op = _decode_one(index, instr, self.program.text_base)
         self.step_op(op)
         self.trace.end = self.pc_index
 
-    def step_current(self):
-        """Execute the instruction at the current ``pc_index``.
-
-        Single-step entry point used by the lockstep golden machine; goes
-        through the compiled per-op handlers when the fast path is active so
-        co-simulation guards the same generated code production runs use.
-        """
-        index = self.pc_index
-        decoded = self.decoded
-        if not 0 <= index < len(decoded):
-            raise SimulationError(f"pc out of text segment: {self._pc():#x}")
-        if self._fast is not None:
-            self._fast.op_handlers[index](self)
-        else:
-            self.step_op(decoded[index])
-        self.trace.end = self.pc_index
-
     def step_op(self, op):
-        """Execute one pre-decoded instruction (the hot path)."""
+        """Execute one pre-decoded instruction.
+
+        The only single-instruction path: the baseline loop, :meth:`step`
+        and the compiled driver's landings inside a block all run it.
+        """
         kind = op.kind
         pc = op.pc
         regs = self.regs

@@ -24,18 +24,19 @@ Stages read the replayed trace through the program's static timing table
 come from the successor's PC, and STRAIGHT producer tags are trace
 positions minus source distances.
 
-The clock is owned by an :class:`~repro.uarch.scheduler.EventScheduler`.
-Every stage implements ``can_tick()`` (could it make progress or count a
-stall *this* cycle?) and ``next_wake()`` (the earliest future cycle at which
-it could, when that cycle is not already in the scheduler's event heap).
-When every stage is idle the engine jumps the clock to the next scheduled
-event instead of stepping cycle-by-cycle, which is where the wall-clock
-speedup on stall-heavy traces comes from.  Guardrailed runs never jump, so
-per-cycle hooks observe every cycle.
+The clock is an :class:`~repro.uarch.scheduler.EventScheduler`.  Every
+stage implements ``can_tick()`` (could it make progress or count a stall
+*this* cycle?) and ``next_wake()`` (the earliest future cycle at which it
+could, when that cycle is not already a key of the state's ``events`` or
+``ready_buckets``).  When every stage is idle the engine jumps the clock to
+the earliest of those cycles instead of stepping cycle-by-cycle, which is
+where the wall-clock speedup on stall-heavy traces comes from.  Guardrailed
+runs never jump, so per-cycle hooks observe every cycle.
 """
 
 from collections import deque
 from heapq import heappop, heappush
+from itertools import chain
 
 from repro.common.errors import SimulationError
 from repro.common.trace import OP_CLASSES
@@ -84,9 +85,9 @@ class PipelineState:
     the issue-queue wakeup counters.
 
     ``events`` and ``ready_buckets`` lists are only ever created for future
-    cycles, and a cycle stays in the scheduler until the clock reaches it,
-    so stages register a cycle with the scheduler only when they create
-    its list.
+    cycles and are popped when the clock reaches their cycle, so their keys
+    are exactly the pending completion and readiness cycles: the candidates
+    the clock may jump to.
     """
 
     __slots__ = (
@@ -171,8 +172,9 @@ class PipelineStage:
     current cycle; it must err on the side of ``True``, since a wrongly-idle
     verdict would let the clock jump over an observable cycle.
     ``next_wake()`` names the earliest future cycle the stage could act at
-    when that cycle is *not* carried by the scheduler's event heap (front-end
-    pipe readiness, fetch resumption, rename unblocking).
+    when that cycle is *not* a key of the state's ``events`` or
+    ``ready_buckets`` (front-end pipe readiness, fetch resumption, rename
+    unblocking).
     """
 
     name = "stage"
@@ -243,7 +245,6 @@ class CompletionStage(PipelineStage):
                         bucket = ready_buckets.get(bucket_at)
                         if bucket is None:
                             ready_buckets[bucket_at] = [consumer]
-                            self.sched.schedule(bucket_at)
                         else:
                             bucket.append(consumer)
             if seq == state.awaiting_branch:
@@ -391,7 +392,6 @@ class IssueStage(PipelineStage):
             completing = events.get(done_at)
             if completing is None:
                 events[done_at] = [seq]
-                self.sched.schedule(done_at)
             else:
                 completing.append(seq)
             if obs is not None:
@@ -557,7 +557,6 @@ class DispatchStage(PipelineStage):
                 bucket = state.ready_buckets.get(issue_at)
                 if bucket is None:
                     state.ready_buckets[issue_at] = [seq]
-                    self.sched.schedule(issue_at)
                 else:
                     bucket.append(seq)
         state.iq_count = iq_count
@@ -734,7 +733,7 @@ class FetchStage(PipelineStage):
 
 
 class TimingEngine:
-    """Wires the five stages to one state object and one event scheduler.
+    """Wires the five stages to one state object and one clock.
 
     One engine instance drives one ``run``; the owning
     :class:`~repro.uarch.core.OoOCore` holds the cross-run structures
@@ -868,18 +867,21 @@ class TimingEngine:
     def _skip_to_next_event(self, max_cycles):
         """Jump the clock to the next cycle at which any stage can act.
 
-        Candidates are the scheduler's event heap (completions and ready
-        buckets) plus the stage-computed wakes that are not heap-carried:
-        front-end pipe readiness / rename unblocking (dispatch) and fetch
-        resumption (fetch).  Idle-skip invariant: every candidate is
-        strictly in the future, and no statistic can change on the cycles
-        jumped over.
+        Candidates are the pending completion and ready-bucket cycles (the
+        keys of ``events`` and ``ready_buckets``) plus the stage-computed
+        wakes: front-end pipe readiness / rename unblocking (dispatch) and
+        fetch resumption (fetch).  Idle-skip invariant: every candidate is
+        strictly in the future — a key leaves its dict in the cycle it
+        names, and the engine only skips when neither dict holds the
+        current cycle — and no statistic can change on the cycles jumped
+        over.
         """
         sched = self.sched
-        target = sched.next_event()
-        for wake in (self.dispatch.next_wake(), self.fetch.next_wake()):
-            if wake is not None and (target is None or wake < target):
-                target = wake
+        state = self.state
+        wakes = (self.dispatch.next_wake(), self.fetch.next_wake())
+        target = min(chain(state.events, state.ready_buckets,
+                           (wake for wake in wakes if wake is not None)),
+                     default=None)
         if target is None or target > max_cycles:
             # The seed engine would have idled cycle-by-cycle up to the
             # budget and raised there; reproduce that exactly.

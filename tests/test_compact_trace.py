@@ -4,7 +4,7 @@ Covers what the trace-digest and SimStats oracles in
 ``tests/test_engine_oracles.py`` cannot reach directly: the taken twins of
 branches to their own fall-through, the entry-list adapter (one engine
 input path), cache warming against the per-instruction walk it replaced,
-the scheduler's pruning on cores that never skip, and lockstep's demand
+the pending-cycle pruning on cores that never skip, and lockstep's demand
 for recorded values.
 """
 
@@ -172,30 +172,18 @@ class TestWarmCaches:
 
 class TestSchedulerPruning:
     def test_bb_run_keeps_few_pending_cycles(self, small_binaries):
-        """bb cores rarely skip, so the clock seldom asks for the next event
-        (which used to be the only place passed cycles left the scheduler:
-        this run ended holding 1410 of them); the cycle count is the one
-        the engine gave before pruning moved."""
+        """bb cores rarely skip.  Pending cycles are the keys of the state's
+        ``events`` and ``ready_buckets``, which leave in the cycle they
+        name, so a finished run holds none, skipping or not; the cycle
+        count is pinned."""
         interp = small_binaries["bb"].interpreter(collect_trace=True)
         interp.run(1_000_000)
         core = OoOCore(ALL_CORES["BB-4way"]())
         stats = core.run(interp.trace)
         assert stats.cycles == 2739
-        sched = core.engine.sched
-        assert sched.pending() < 16
-        assert len(sched._heap) == sched.pending()
-
-    def test_schedule_drops_passed_cycles(self):
-        from repro.uarch.scheduler import EventScheduler
-
-        sched = EventScheduler()
-        for at in (2, 3, 5, 9):
-            sched.schedule(at)
-        for _ in range(6):
-            sched.advance()
-        sched.schedule(12)
-        assert sched.pending() == 2  # 9 and 12; 2, 3 and 5 have passed
-        assert sched.next_event() == 9
+        state = core.engine.state
+        assert state.events == {}
+        assert state.ready_buckets == {}
 
 
 class TestLockstepNeedsValues:

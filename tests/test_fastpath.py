@@ -7,14 +7,19 @@ contract, plus the control-descriptor table and the functional-warming
 parity the sampled simulator depends on.
 """
 
+import ast
+
 import pytest
 
 from repro import fastpath
 from repro import isa as isa_registry
 from repro.core.api import build, run_functional
 from repro.core.configs import ss_2way, straight_2way
+from repro.fastpath import codegen, riscv_gen, straight_gen
+from repro.guardrails import LockstepMonitor
 from repro.harness.sampling import SampledRunner, SamplingParams, _PredictorWarmer
 from repro.uarch.core import OoOCore
+from repro.workloads.common import build_workload
 
 #: Branchy program: calls, returns, loops, a divide (uncompiled fallback op),
 #: and data-dependent branches so the predictor warming paths get exercised.
@@ -138,6 +143,39 @@ class TestPlumbing:
         assert labels <= set(binaries)
         for label in labels:
             assert binaries[label].interpreter(compiled=True)._fast is not None
+
+    def test_value_recording_and_golden_machines_run_uncompiled(self,
+                                                                binaries):
+        # Block functions record no results: guarded runs, fault campaigns
+        # and the lockstep golden machine single-step through step_op.
+        for label, binary in binaries.items():
+            interp = binary.interpreter(collect_trace=True, compiled=True,
+                                        trace_values=True)
+            assert interp._fast is None, label
+            assert LockstepMonitor(binary).golden._fast is None, label
+
+
+class TestGeneratedModule:
+    @pytest.mark.parametrize("workload", ["dhrystone", "coremark"])
+    def test_one_function_per_basic_block(self, workload, monkeypatch):
+        # Single instructions run through step_op, so a binary's generated
+        # module holds its block functions and nothing else.
+        sources = []
+
+        def capture(source, namespace, tag):
+            sources.append(source)
+            return codegen.compile_namespace(source, namespace, tag)
+
+        for generator in (straight_gen, riscv_gen):
+            monkeypatch.setattr(generator, "compile_namespace", capture)
+        for label, binary in build_workload(workload).all().items():
+            generator = straight_gen if binary.isa == "straight" else riscv_gen
+            sources.clear()
+            compiled = generator.compile_program(binary.program)
+            assert len(sources) == 1, label
+            defs = [node for node in ast.walk(ast.parse(sources[0]))
+                    if isinstance(node, ast.FunctionDef)]
+            assert len(defs) == len(compiled.block_ranges), label
 
 
 class TestControlDescriptors:

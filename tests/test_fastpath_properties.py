@@ -67,8 +67,9 @@ def _compact_trace(binary, compiled, values):
 @settings(max_examples=10, deadline=None)
 @given(block(), st.integers(min_value=1, max_value=5))
 def test_compiled_and_baseline_compact_traces_match(body, lim):
-    """Block-recorded traces equal the per-op baseline's, field for field —
-    with and without recorded values (the guarded-run mode)."""
+    """Block-recorded traces equal the per-op baseline's, field for field.
+    With recorded values (the guarded-run mode) both interpreters take the
+    baseline loop."""
     note(f"REPRO_FUZZ_SEED={FUZZ_SEED}")
     for label, binary in build(_random_cfg_program(body, lim)).all().items():
         for values in (False, True):
@@ -100,13 +101,21 @@ def partial_run_binaries():
 @given(st.integers(min_value=1, max_value=4000))
 def test_partial_runs_stop_on_the_same_instruction(partial_run_binaries,
                                                    max_steps):
-    # Random cut points land mid-block; the compiled driver must fall back
-    # to per-op handlers and leave bit-identical state at the boundary.
+    # Random cut points land mid-block; the compiled driver must single-step
+    # the block's tail and leave bit-identical state at the boundary.  A
+    # trace-collecting run (a sampled segment) must also record the same
+    # trace: whole blocks as spans, the tail per op.
     for label, binary in partial_run_binaries.items():
-        base = binary.interpreter(compiled=False)
-        fast = binary.interpreter(compiled=True)
-        rb = base.run(max_steps=max_steps)
-        rf = fast.run(max_steps=max_steps)
-        assert rf.steps == rb.steps, label
-        assert rf.status == rb.status, label
-        assert fast.checkpoint() == base.checkpoint(), (label, max_steps)
+        for collect in (False, True):
+            base = binary.interpreter(collect_trace=collect, compiled=False)
+            fast = binary.interpreter(collect_trace=collect, compiled=True)
+            rb = base.run(max_steps=max_steps)
+            rf = fast.run(max_steps=max_steps)
+            key = (label, max_steps, collect)
+            assert rf.steps == rb.steps, key
+            assert rf.status == rb.status, key
+            assert fast.checkpoint() == base.checkpoint(), key
+            if collect:
+                assert fast.trace.idx == base.trace.idx, key
+                assert fast.trace.mem == base.trace.mem, key
+                assert fast.trace.end == base.trace.end, key

@@ -2,10 +2,10 @@
 
 The cycle-exactness of the stage-decomposed engine against the seed is
 pinned by ``tests/test_golden_snapshots.py``; this file covers the new
-machinery itself: the :class:`~repro.uarch.scheduler.EventScheduler`'s
-deduplication and jump semantics, the idle-skip invariant (identical stats
-with and without skipping, with a nonzero skip count on stall-heavy code),
-the commit-time pruning of per-seq bookkeeping, and the
+machinery itself: the clock's jump semantics, the skip target (the
+earliest pending cycle, always in the future), the idle-skip invariant
+(identical stats with and without skipping, with a nonzero skip count on
+stall-heavy code), the commit-time pruning of per-seq bookkeeping, and the
 :class:`~repro.uarch.stats.StatsRegistry` contribution rules.
 """
 
@@ -16,6 +16,7 @@ from repro.core.api import build
 from repro.core.configs import ss_2way, straight_2way
 from repro.guardrails.suite import GuardrailSuite, InvariantChecker
 from repro.uarch.core import OoOCore, SimStats, default_registry
+from repro.uarch.pipeline import TimingEngine
 from repro.uarch.scheduler import EventScheduler
 from repro.uarch.stats import StatsRegistry
 
@@ -51,26 +52,6 @@ def _trace(source, label="SS"):
 
 
 class TestEventScheduler:
-    def test_schedule_deduplicates_same_cycle(self):
-        sched = EventScheduler()
-        sched.schedule(7)
-        sched.schedule(7)
-        sched.schedule(7)
-        sched.schedule(9)
-        assert sched.pending() == 2
-        assert sched.next_event() == 7
-
-    def test_next_event_drops_stale_entries(self):
-        sched = EventScheduler()
-        sched.schedule(3)
-        sched.schedule(5)
-        sched.cycle = 4
-        assert sched.next_event() == 5
-        assert sched.pending() == 1  # the stale entry at 3 is gone
-
-    def test_next_event_empty_returns_none(self):
-        assert EventScheduler().next_event() is None
-
     def test_jump_counts_skipped_cycles(self):
         sched = EventScheduler()
         sched.advance()
@@ -87,13 +68,56 @@ class TestEventScheduler:
         with pytest.raises(ValueError):
             sched.jump(2)
 
-    def test_rescheduling_after_pop_is_allowed(self):
-        sched = EventScheduler()
-        sched.schedule(5)
-        sched.cycle = 6
-        assert sched.next_event() is None
-        sched.schedule(8)
-        assert sched.next_event() == 8
+
+def _idle_engine(small_build):
+    """An engine over a real trace with no stage-computed wake: the front-end
+    pipe is empty and fetch has run off the end of the trace."""
+    interp = small_build.riscv.interpreter(collect_trace=True)
+    interp.run(1_000_000)
+    engine = TimingEngine(OoOCore(ss_2way()), interp.trace)
+    engine.state.fetch_idx = engine.state.n
+    return engine
+
+
+class TestSkipTarget:
+    """The idle clock jumps to the earliest pending cycle: a key of the
+    state's ``events`` or ``ready_buckets``, or a stage-computed wake."""
+
+    @pytest.mark.parametrize("events,buckets,target", [
+        ({9: [0], 7: [1]}, {7: [2], 12: [3]}, 7),
+        ({9: [0]}, {5: [1], 11: [2]}, 5),
+        ({6: [0], 14: [1]}, {}, 6),
+    ], ids=["cycle-in-both-dicts", "bucket-first", "events-only"])
+    def test_skip_lands_on_the_earliest_key(self, small_build, events,
+                                            buckets, target):
+        engine = _idle_engine(small_build)
+        engine.state.events.update(events)
+        engine.state.ready_buckets.update(buckets)
+        engine._skip_to_next_event(1000)
+        assert engine.sched.cycle == target
+        assert engine.sched.skipped_cycles == target
+
+    def test_nothing_pending_raises_at_the_budget(self, small_build):
+        engine = _idle_engine(small_build)
+        with pytest.raises(SimulationError, match="exceeded 40 cycles"):
+            engine._skip_to_next_event(40)
+        assert engine.sched.cycle == 41
+
+    def test_pending_cycles_are_future_whenever_the_clock_skips(
+            self, monkeypatch):
+        skip = TimingEngine._skip_to_next_event
+        skips = []
+
+        def checked(engine, max_cycles):
+            cycle = engine.sched.cycle
+            pending = [*engine.state.events, *engine.state.ready_buckets]
+            assert all(at > cycle for at in pending), (cycle, pending)
+            skips.append(cycle)
+            skip(engine, max_cycles)
+
+        monkeypatch.setattr(TimingEngine, "_skip_to_next_event", checked)
+        OoOCore(ss_2way()).run(_trace(STALL_HEAVY), idle_skip=True)
+        assert skips
 
 
 class TestCycleSkipping:
