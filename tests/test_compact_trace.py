@@ -185,6 +185,32 @@ class TestSchedulerPruning:
         assert state.events == {}
         assert state.ready_buckets == {}
 
+    def test_schedule_drops_passed_cycles(self, small_binaries, monkeypatch):
+        """On a core that never skips, a cycle leaves ``events`` and
+        ``ready_buckets`` before the clock passes it, so no passed cycle is
+        ever pending."""
+        from repro.uarch.scheduler import EventScheduler
+
+        interp = small_binaries["bb"].interpreter(collect_trace=True)
+        interp.run(1_000_000)
+        core = OoOCore(ALL_CORES["BB-4way"]())
+        advance = EventScheduler.advance
+        checked = []
+
+        def advance_checked(sched):
+            state = core.engine.state
+            pending = [*state.events, *state.ready_buckets]
+            assert all(at > sched.cycle for at in pending), (
+                sched.cycle, pending)
+            checked.append(len(pending))
+            advance(sched)
+
+        monkeypatch.setattr(EventScheduler, "advance", advance_checked)
+        stats = core.run(interp.trace, idle_skip=False)
+        assert stats.cycles == len(checked) == 2739
+        assert core.engine.sched.skipped_cycles == 0
+        assert max(checked) > 0
+
 
 class TestLockstepNeedsValues:
     def test_trace_without_values_is_refused(self, small_binaries):

@@ -51,6 +51,16 @@ def _trace(source, label="SS"):
     return interp.trace
 
 
+def _idle_engine(small_build):
+    """An engine over a real trace with no stage-computed wake: the front-end
+    pipe is empty and fetch has run off the end of the trace."""
+    interp = small_build.riscv.interpreter(collect_trace=True)
+    interp.run(1_000_000)
+    engine = TimingEngine(OoOCore(ss_2way()), interp.trace)
+    engine.state.fetch_idx = engine.state.n
+    return engine
+
+
 class TestEventScheduler:
     def test_jump_counts_skipped_cycles(self):
         sched = EventScheduler()
@@ -68,15 +78,32 @@ class TestEventScheduler:
         with pytest.raises(ValueError):
             sched.jump(2)
 
+    def test_next_event_drops_stale_entries(self, small_build):
+        """A pending cycle leaves ``events`` in the cycle it names, so a skip
+        from a later cycle never meets a stale entry."""
+        engine = _idle_engine(small_build)
+        engine.state.events.update({3: [0], 5: [1]})
+        engine._skip_to_next_event(1000)
+        assert engine.sched.cycle == 3
+        engine.completion.tick()
+        engine.sched.advance()
+        assert list(engine.state.events) == [5]  # the entry at 3 is gone
+        engine._skip_to_next_event(1000)
+        assert engine.sched.cycle == 5
 
-def _idle_engine(small_build):
-    """An engine over a real trace with no stage-computed wake: the front-end
-    pipe is empty and fetch has run off the end of the trace."""
-    interp = small_build.riscv.interpreter(collect_trace=True)
-    interp.run(1_000_000)
-    engine = TimingEngine(OoOCore(ss_2way()), interp.trace)
-    engine.state.fetch_idx = engine.state.n
-    return engine
+    def test_rescheduling_after_pop_is_allowed(self, small_build):
+        """A passed cycle leaves nothing pending; a new key is the next
+        skip target."""
+        engine = _idle_engine(small_build)
+        engine.state.events[5] = [0]
+        engine._skip_to_next_event(1000)
+        engine.completion.tick()
+        engine.sched.advance()
+        assert engine.sched.cycle == 6
+        assert engine.state.events == {} and engine.state.ready_buckets == {}
+        engine.state.events[8] = [1]
+        engine._skip_to_next_event(1000)
+        assert engine.sched.cycle == 8
 
 
 class TestSkipTarget:
