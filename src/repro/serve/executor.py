@@ -3,16 +3,18 @@
 Fresh jobs arrive from the HTTP front end and are executed one of two
 ways:
 
-* **Pool-batched** — ``simulate`` jobs queue up and a dispatcher
-  coroutine collects everything that arrives within a short batch window
-  into one :func:`repro.harness.sweep.run_sweep` call, so a burst of
-  distinct requests shares a single process-pool spin-up (and the cache
+* **Pool-batched** — ``simulate`` jobs queue up, and a dispatcher
+  coroutine starts a batch as soon as a job is queued and one of the
+  batch slots is free, moving every simulate job queued by then into one
+  :func:`repro.harness.sweep.run_sweep` call.  An idle server starts a
+  lone job at once; a burst that arrives while every slot is busy leaves
+  as one batch and shares a single process-pool spin-up (and the cache
   pre-pass serves warm tasks without touching the pool at all).  Small
   batches skip the pool and run inline inside a worker thread — where
   per-task deadlines are enforced by the :func:`repro.harness.runner
   .deadline` thread-timer fallback, since SIGALRM is main-thread-only.
   ``sweep`` jobs are grids and already batches by construction; each runs
-  as its own ``run_sweep`` invocation.
+  as its own ``run_sweep`` invocation in a batch slot of its own.
 * **Thread jobs** — ``compile`` and ``explore`` are latency-sensitive and
   pool-incompatible (they return assembly text and Kanata traces, not
   ``SimStats`` payloads), so they run directly on a thread pool under the
@@ -45,10 +47,6 @@ from repro.harness.supervisor import (
 from repro.harness.sweep import SweepTask, compile_binary_cached, run_sweep
 from repro.serve.protocol import BadRequest
 
-#: Queue sentinel that stops the dispatcher.
-_SHUTDOWN = object()
-
-
 def _error_record(exc):
     return {"type": type(exc).__name__, "message": str(exc)}
 
@@ -56,25 +54,28 @@ def _error_record(exc):
 class ServeExecutor:
     """Runs fresh jobs for a :class:`~repro.serve.jobs.JobStore`."""
 
-    def __init__(self, pool_jobs=None, batch_window_s=0.02, batch_cap=256,
-                 inline_threshold=2, thread_workers=4, retry_policy=None,
-                 max_concurrent_batches=2):
+    #: ``run_sweep`` calls in flight at once: simulate batches and sweep
+    #: jobs each hold one of these slots.
+    MAX_CONCURRENT_BATCHES = 2
+    #: The most simulate jobs one batch takes from the queue.
+    BATCH_CAP = 256
+    #: Batches at or below this size skip the process pool and run
+    #: inline in a worker thread (pool spin-up costs more than the
+    #: work; the deadline thread-timer fallback covers enforcement).
+    INLINE_THRESHOLD = 2
+    #: Worker threads shared by batches and compile/explore jobs.
+    THREAD_WORKERS = 4
+
+    def __init__(self, pool_jobs=None, retry_policy=None):
         self.pool_jobs = pool_jobs
-        self.batch_window_s = batch_window_s
-        self.batch_cap = batch_cap
-        #: Batches at or below this size skip the process pool and run
-        #: inline in a worker thread (pool spin-up costs more than the
-        #: work; the deadline thread-timer fallback covers enforcement).
-        self.inline_threshold = inline_threshold
         self.retry = retry_policy or RetryPolicy()
         self._retry_budget = self.retry.retry_budget
         self._loop = None
         self._queue = None
         self._dispatcher = None
         self._threads = ThreadPoolExecutor(
-            max_workers=thread_workers, thread_name_prefix="serve-job")
+            max_workers=self.THREAD_WORKERS, thread_name_prefix="serve-job")
         self._batch_gate = None
-        self._max_concurrent_batches = max_concurrent_batches
         self._tasks = set()
         self.counters = {
             "batches": 0,
@@ -89,7 +90,7 @@ class ServeExecutor:
     def start(self, loop=None):
         self._loop = loop if loop is not None else asyncio.get_running_loop()
         self._queue = asyncio.Queue()
-        self._batch_gate = asyncio.Semaphore(self._max_concurrent_batches)
+        self._batch_gate = asyncio.Semaphore(self.MAX_CONCURRENT_BATCHES)
         self._dispatcher = self._loop.create_task(self._dispatch_loop())
         return self
 
@@ -109,8 +110,10 @@ class ServeExecutor:
 
     def submit(self, job):
         """Hand one *fresh* job to the execution layer (loop thread only)."""
-        if job.kind in ("simulate", "sweep"):
+        if job.kind == "simulate":
             self._queue.put_nowait(job)
+        elif job.kind == "sweep":
+            self._spawn(self._run_sweep_job(job))
         elif job.kind == "compile":
             self._spawn(self._run_thread_job(job, self._compile_sync))
         elif job.kind == "explore":
@@ -134,31 +137,18 @@ class ServeExecutor:
     # -- dispatcher ----------------------------------------------------------
 
     async def _dispatch_loop(self):
-        """Collect queued jobs into batch windows; never blocks on a batch."""
+        """Start a batch once a job is queued and a batch slot is free.
+
+        The batch takes every simulate job queued by then, up to
+        ``BATCH_CAP``, and gives its slot back when ``run_sweep`` returns;
+        the dispatcher never waits on a batch itself.
+        """
         while True:
-            job = await self._queue.get()
-            if job is _SHUTDOWN:
-                return
-            batch = [job]
-            horizon = self._loop.time() + self.batch_window_s
-            while len(batch) < self.batch_cap:
-                remaining = horizon - self._loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    job = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
-                if job is _SHUTDOWN:
-                    await self._queue.put(_SHUTDOWN)
-                    break
-                batch.append(job)
-            simulates = [j for j in batch if j.kind == "simulate"]
-            sweeps = [j for j in batch if j.kind == "sweep"]
-            if simulates:
-                self._spawn(self._run_simulate_batch(simulates))
-            for sweep_job in sweeps:
-                self._spawn(self._run_sweep_job(sweep_job))
+            batch = [await self._queue.get()]
+            await self._batch_gate.acquire()
+            while len(batch) < self.BATCH_CAP and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
+            self._spawn(self._run_simulate_batch(batch))
 
     # -- simulate batches ----------------------------------------------------
 
@@ -198,39 +188,44 @@ class ServeExecutor:
         )
 
     async def _run_simulate_batch(self, jobs):
-        self.counters["batches"] += 1
-        self.counters["batched_jobs"] += len(jobs)
-        tasks = []
-        by_id = {}
-        for job in jobs:
-            job.mark_running({"batch": len(jobs)})
-            try:
-                task = self._simulate_task(job)
-            except Exception as exc:  # noqa: BLE001 - fail just this job
-                job.fail(type(exc).__name__, str(exc),
-                         {"classification": "deterministic"})
-                continue
-            tasks.append(task)
-            by_id[job.id] = job
-        if not tasks:
-            return
-        pool_jobs = self.pool_jobs
-        if len(tasks) <= self.inline_threshold:
-            self.counters["inline_batches"] += 1
-            pool_jobs = 1
+        """Run one batch in the slot the dispatcher took for it."""
+        try:
+            self.counters["batches"] += 1
+            self.counters["batched_jobs"] += len(jobs)
+            tasks = []
+            by_id = {}
+            for job in jobs:
+                job.mark_running({"batch": len(jobs)})
+                try:
+                    task = self._simulate_task(job)
+                except Exception as exc:  # noqa: BLE001 - fail just this job
+                    job.fail(type(exc).__name__, str(exc),
+                             {"classification": "deterministic"})
+                    continue
+                tasks.append(task)
+                by_id[job.id] = job
+            if not tasks:
+                return
+            pool_jobs = self.pool_jobs
+            if len(tasks) <= self.INLINE_THRESHOLD:
+                self.counters["inline_batches"] += 1
+                pool_jobs = 1
 
-        loop = self._loop
+            loop = self._loop
 
-        def progress(done, total, task_id, status, seconds):
-            # Worker-thread callback: marshal onto the loop.
-            loop.call_soon_threadsafe(
-                self._on_progress, by_id, done, total, task_id, status,
-                seconds)
+            def progress(done, total, task_id, status, seconds):
+                # Worker-thread callback: marshal onto the loop.
+                loop.call_soon_threadsafe(
+                    self._on_progress, by_id, done, total, task_id, status,
+                    seconds)
 
-        async with self._batch_gate:
             report = await loop.run_in_executor(
                 self._threads,
                 lambda: run_sweep(tasks, jobs=pool_jobs, progress=progress))
+        finally:
+            # The next batch may start while this one's results and
+            # retries are handled.
+            self._batch_gate.release()
         for job in by_id.values():
             payload = report.results.get(job.id)
             if payload is None:  # pragma: no cover - run_sweep is total

@@ -5,9 +5,11 @@ round-trip), quotas (deterministic fake clock), the job store's
 single-flight contract, subscriber streaming (two subscribers, ordered;
 disconnect mid-stream), the executor's in-flight dedup (two concurrent
 identical jobs -> one pool task, via a monkeypatched sweep engine), the
-HTTP server end to end over a real socket (including the compiler
-explorer for every registered ISA), and the thread-safety of the cache
-configuration singleton (satellite a).
+dispatcher's batching policy (a lone job starts at once; jobs queued
+behind busy batch slots leave as one batch), the HTTP server end to end
+over a real socket (including the compiler explorer for every registered
+ISA), and the thread-safety of the cache configuration singleton
+(satellite a).
 """
 
 import asyncio
@@ -322,8 +324,8 @@ class TestExecutorDedup:
 
         async def scenario():
             store = JobStore()
-            executor = executor_mod.ServeExecutor(
-                batch_window_s=0.005).start(asyncio.get_running_loop())
+            executor = executor_mod.ServeExecutor().start(
+                asyncio.get_running_loop())
             try:
                 job1, created1, served1 = store.submit("simulate",
                                                        {"source": SRC})
@@ -356,8 +358,8 @@ class TestExecutorDedup:
 
         async def scenario():
             store = JobStore()
-            executor = executor_mod.ServeExecutor(
-                batch_window_s=0.05).start(asyncio.get_running_loop())
+            executor = executor_mod.ServeExecutor().start(
+                asyncio.get_running_loop())
             try:
                 jobs = []
                 for source in (SRC, SRC_LOOP):
@@ -372,7 +374,7 @@ class TestExecutorDedup:
                 await executor.stop()
 
         asyncio.run(scenario())
-        assert len(calls) == 1, "both jobs must share one batch window"
+        assert len(calls) == 1, "jobs queued before dispatch share a batch"
         assert len(calls[0]) == 2
 
     def test_transient_failure_retries_then_succeeds(self, monkeypatch):
@@ -394,7 +396,6 @@ class TestExecutorDedup:
         async def scenario():
             store = JobStore()
             executor = executor_mod.ServeExecutor(
-                batch_window_s=0.005,
                 retry_policy=RetryPolicy(backoff_base_s=0.001),
             ).start(asyncio.get_running_loop())
             try:
@@ -422,8 +423,8 @@ class TestExecutorDedup:
 
         async def scenario():
             store = JobStore()
-            executor = executor_mod.ServeExecutor(
-                batch_window_s=0.005).start(asyncio.get_running_loop())
+            executor = executor_mod.ServeExecutor().start(
+                asyncio.get_running_loop())
             try:
                 job, _created, _served = store.submit("simulate",
                                                       {"source": SRC})
@@ -445,8 +446,8 @@ class TestExecutorDedup:
 
         async def scenario():
             store = JobStore()
-            executor = executor_mod.ServeExecutor(
-                batch_window_s=0.005).start(asyncio.get_running_loop())
+            executor = executor_mod.ServeExecutor().start(
+                asyncio.get_running_loop())
             try:
                 job, _created, _served = store.submit("simulate", {
                     "source": SRC, "core": "SS-2way", "target": "straight"})
@@ -458,6 +459,101 @@ class TestExecutorDedup:
                 await executor.stop()
 
         asyncio.run(scenario())
+
+
+def _fake_results(tasks):
+    return _FakeReport({t.task_id: {"kind": "functional", "output": []}
+                        for t in tasks})
+
+
+def _numbered_source(index):
+    return f"int main() {{ __out({index}); return 0; }}"
+
+
+async def _until(predicate, timeout_s=5.0):
+    horizon = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < horizon, "condition never held"
+        await asyncio.sleep(0.001)
+
+
+class TestDispatchPolicy:
+    def test_lone_jobs_do_not_wait(self, monkeypatch):
+        sizes = []
+
+        def fake_run_sweep(tasks, jobs=None, progress=None, **_kw):
+            sizes.append(len(tasks))
+            return _fake_results(tasks)
+
+        monkeypatch.setattr(executor_mod, "run_sweep", fake_run_sweep)
+
+        async def scenario():
+            store = JobStore()
+            executor = executor_mod.ServeExecutor().start(
+                asyncio.get_running_loop())
+            try:
+                started = time.perf_counter()
+                for index in range(20):
+                    job, created, _served = store.submit(
+                        "simulate", {"source": _numbered_source(index)})
+                    assert created
+                    executor.submit(job)
+                    assert await job.wait(5.0)
+                    assert job.state == "done"
+                return time.perf_counter() - started
+            finally:
+                await executor.stop()
+
+        elapsed = asyncio.run(scenario())
+        assert sizes == [1] * 20
+        assert elapsed < 0.2, f"20 lone jobs took {elapsed:.3f} s"
+
+    def test_jobs_queued_behind_busy_slots_leave_as_one_batch(
+            self, monkeypatch):
+        sizes = []
+        release = threading.Event()
+
+        def fake_run_sweep(tasks, jobs=None, progress=None, **_kw):
+            sizes.append(len(tasks))
+            if len(sizes) <= 2:
+                release.wait(5.0)
+            return _fake_results(tasks)
+
+        monkeypatch.setattr(executor_mod, "run_sweep", fake_run_sweep)
+
+        async def scenario():
+            store = JobStore()
+            executor = executor_mod.ServeExecutor().start(
+                asyncio.get_running_loop())
+            jobs = []
+
+            def submit(index):
+                job, created, _served = store.submit(
+                    "simulate", {"source": _numbered_source(index)})
+                assert created
+                executor.submit(job)
+                jobs.append(job)
+
+            try:
+                # Two blocked batches hold both slots ...
+                for index in range(2):
+                    submit(index)
+                    await _until(lambda: len(sizes) == index + 1)
+                # ... so three more jobs wait in the queue together.
+                for index in range(2, 5):
+                    submit(index)
+                await asyncio.sleep(0.05)
+                assert sizes == [1, 1]
+                release.set()
+                for job in jobs:
+                    assert await job.wait(5.0)
+                    assert job.state == "done"
+            finally:
+                release.set()
+                await executor.stop()
+
+        asyncio.run(scenario())
+        assert sizes == [1, 1, 3]
 
 
 # ---------------------------------------------------------------------------

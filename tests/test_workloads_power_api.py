@@ -1,7 +1,10 @@
 """Workload validation, power model, top-level API, and config tests."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.common.errors import SimulationError
 from repro.core import build, simulate, run_functional
 from repro.core.configs import (
     ss_2way,
@@ -14,6 +17,7 @@ from repro.core.configs import (
 from repro.power import analyze_power, EnergyParams
 from repro.uarch.core import SimStats
 from repro.workloads import WORKLOADS, get_workload, build_workload
+from repro.workloads.common import Workload
 
 
 class TestWorkloads:
@@ -50,6 +54,40 @@ class TestWorkloads:
     def test_unknown_workload(self):
         with pytest.raises(KeyError):
             get_workload("specint")
+
+    def test_cross_validation_names_a_diverging_binary(self, monkeypatch):
+        from repro.workloads import common as workloads_common
+
+        source = "int main() { __out(7); return 0; }"
+        workload = Workload("tiny", SimpleNamespace(source=lambda _n: source),
+                            default_iterations=1)
+        built = []
+        runs = []
+        diverging = set()
+
+        def spy_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def spy_run(binary):
+            runs.append(binary)
+            output = run_functional(binary).output
+            if binary is built[-1].straight_re and "RE+" in diverging:
+                output = output + [0]
+            return SimpleNamespace(output=output)
+
+        monkeypatch.setattr(workloads_common, "build", spy_build)
+        monkeypatch.setattr(workloads_common, "run_functional", spy_run)
+
+        # A clean build runs each of its four binaries once.
+        result = workload.build()
+        assert sorted(map(id, runs)) == sorted(map(id, result.all().values()))
+
+        runs.clear()
+        diverging.add("RE+")
+        with pytest.raises(SimulationError, match=r"tiny: STRAIGHT-RE\+ output"):
+            workload.build()
+        assert [b is built[-1].riscv for b in runs].count(True) == 1
 
 
 class TestConfigs:
