@@ -22,7 +22,7 @@ from repro.harness import ALL_EXPERIMENTS
 from repro.harness import cache as cache_mod
 from repro.harness.experiments import grid_tasks
 from repro.harness.runner import clear_cache
-from repro.harness.sweep import ensure_results, set_default_jobs
+from repro.harness.sweep import ensure_results
 
 ORDER = [
     "table1",
@@ -61,14 +61,12 @@ def main(argv):
     cache_mod.configure(args.cache_dir, enabled=not args.no_cache)
     if args.no_cache:
         clear_cache(disk=True)
-    if args.jobs is not None:
-        set_default_jobs(args.jobs)
 
     total_start = time.time()
     # Resolve the whole grid up front: one sweep fans every needed
     # (workload, binary, config) point across the pool / the persistent
     # cache; the per-figure runners below are then served from memory.
-    tasks = grid_tasks([n for n in names if n in ORDER])
+    tasks = grid_tasks(names)
     if tasks:
         print(f"sweeping {len(tasks)} grid points "
               f"(jobs={args.jobs or 'auto'}, cache="

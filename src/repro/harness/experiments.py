@@ -22,6 +22,7 @@ from repro.harness.sweep import (
     ensure_results,
     metrics_view,
     payload_or_raise,
+    unique_tasks,
 )
 from repro.uarch.stats import SimStats
 
@@ -34,11 +35,17 @@ def _config_tag(config):
     return f"{config.name}@{canonical_key(config.cache_key())[:10]}"
 
 
+def _iterations_tag(iterations):
+    """The id suffix of an explicit iteration count ('' for the default)."""
+    return "" if iterations is None else f"/it{iterations}"
+
+
 def timing_task(workload, binary_label, config, max_distance=1023,
                 iterations=None):
     """One registry timing grid point."""
     return SweepTask(
-        f"{workload}/{binary_label}/md{max_distance}/{_config_tag(config)}",
+        f"{workload}/{binary_label}/md{max_distance}/{_config_tag(config)}"
+        f"{_iterations_tag(iterations)}",
         workload,
         binary_label=binary_label,
         config=config,
@@ -51,7 +58,8 @@ def functional_task(workload, binary_label, max_distance=1023,
                     iterations=None):
     """One functional (interpreter-metrics) grid point."""
     return SweepTask(
-        f"func/{workload}/{binary_label}/md{max_distance}",
+        f"func/{workload}/{binary_label}/md{max_distance}"
+        f"{_iterations_tag(iterations)}",
         workload,
         binary_label=binary_label,
         iterations=iterations,
@@ -64,7 +72,8 @@ def attribution_task(workload, binary_label, config, max_distance=1023,
                      iterations=None):
     """One timing grid point with the stall-attribution accountant attached."""
     return SweepTask(
-        f"attr/{workload}/{binary_label}/md{max_distance}/{_config_tag(config)}",
+        f"attr/{workload}/{binary_label}/md{max_distance}/{_config_tag(config)}"
+        f"{_iterations_tag(iterations)}",
         workload,
         binary_label=binary_label,
         config=config,
@@ -781,7 +790,6 @@ def grid_tasks(names=None):
     builders = _grid_builders()
     names = list(names) if names else sorted(set(builders) | {"table1"})
     tasks = []
-    seen = set()
     for name in names:
         if name == "table1":
             continue
@@ -791,8 +799,5 @@ def grid_tasks(names=None):
                 f"unknown experiment {name!r}; choose from "
                 f"{sorted(set(builders) | {'table1'})}"
             )
-        for task in builder():
-            if task.task_id not in seen:
-                seen.add(task.task_id)
-                tasks.append(task)
-    return tasks
+        tasks.extend(builder())
+    return unique_tasks(tasks)

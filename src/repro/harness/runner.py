@@ -1,14 +1,10 @@
-"""Cached workload timing runs plus the hardened sweep driver.
+"""Memoized workload timing runs plus wall-clock deadlines.
 
-``timed_run`` memoizes one (workload, binary, core) simulation on the *full
-structural identity* of the core configuration (``CoreConfig.cache_key()``),
-so two configs that merely share a display name never alias to one result.
-
-``run_suite`` is the hardened entry point for regenerating many experiments:
-each runner gets a wall-clock budget, a failure degrades the sweep to partial
-results with an error manifest instead of aborting it, and every failure is
-written out as a JSON crash dump (structured error + replay window) in a
-diagnostics directory.
+``timed_run`` resolves one (workload, binary, core) simulation through the
+sweep engine's single cache path
+(:func:`~repro.harness.sweep.ensure_results`), so it shares entries with
+every figure's grid.  :func:`deadline` bounds a run's wall-clock time; the
+sweep engine runs every task under one.
 """
 
 import signal
@@ -30,23 +26,21 @@ except ImportError:  # pragma: no cover - ctypes is stdlib on CPython
     ctypes = None
     _HAVE_ASYNC_EXC = False
 
-_run_cache = {}
-
 
 def clear_cache(disk=False):
-    """Forget cached timing runs (tests use this for isolation).
+    """Forget the results this process resolved (tests use it for isolation).
 
-    With ``disk=True`` the persistent on-disk layer is wiped too — this is
-    what ``--no-cache`` entry points call, so a "no cache" run can never be
-    silently served by results persisted from an earlier invocation.
-    Stale-schema entries need no manual eviction: the persistent layer
-    drops any entry whose embedded schema version does not match
-    :data:`repro.harness.cache.SCHEMA_VERSION` at first touch.
+    Empties the sweep engine's in-process memo.  With ``disk=True`` the
+    workload build cache and the persistent on-disk layer are wiped too —
+    this is what ``--no-cache`` entry points call, so a "no cache" run can
+    never be silently served by results persisted from an earlier
+    invocation.  Stale-schema entries need no manual eviction: the
+    persistent layer drops any entry whose embedded schema version does not
+    match :data:`repro.harness.cache.SCHEMA_VERSION` at first touch.
     """
-    _run_cache.clear()
-    from repro.harness.sweep import clear_memo
+    from repro.harness import sweep
 
-    clear_memo()
+    sweep._memo.clear()
     if disk:
         from repro.harness import cache as cache_mod
         from repro.workloads.common import clear_build_cache
@@ -62,50 +56,44 @@ def timed_run(workload, binary_label, config, iterations=None,
               observer=None):
     """Simulate one (workload, binary, core) combination, memoized.
 
-    ``binary_label`` is one of ``'SS'``, ``'STRAIGHT-RAW'``,
-    ``'STRAIGHT-RE+'``; ``config`` is a CoreConfig.  The cache key is the
-    config's full timing identity plus the workload parameters, so any field
-    that changes timing (widths, ROB/IQ/LSQ sizes, cache geometry, predictor,
-    penalties, ...) forces a fresh run.  Behind the in-process memo sits the
-    persistent result cache (when enabled), keyed on the binary's SHA-256
-    plus the same config identity; guardrailed runs bypass it (their reports
-    are not serialized and must never alias unguarded timing results).
-    ``timeout_s`` bounds the run's wall-clock time (see :func:`deadline`).
+    ``binary_label`` names one of the workload's binaries (``'SS'``,
+    ``'STRAIGHT-RAW'``, ``'STRAIGHT-RE+'``, ``'BB'``); ``config`` is a
+    CoreConfig.  The run is the registry
+    :func:`~repro.harness.experiments.timing_task` of these arguments,
+    resolved by :func:`~repro.harness.sweep.ensure_results`: the in-process
+    memo, then the persistent result cache, then a fresh simulation.  Both
+    caches key on the config's full timing identity, so any field that
+    changes timing forces a fresh run.  The result is rebuilt from its
+    payload, so a repeated call returns an equal result and simulates
+    nothing.  ``timeout_s`` bounds the run's wall-clock time; an expired or
+    failed run raises :class:`~repro.common.errors.SimulationError`.
 
-    ``observer`` attaches an :class:`~repro.obs.ObserverBus` of pipeline
-    sinks to the timing run.  Observed runs bypass both cache layers and are
-    not memoized: sinks accumulate in-memory state (pipeline logs, slot
-    charges) that is not part of any serialized payload, so serving them
-    from a cache would return stats without the observation they were
-    attached for.
+    Guarded runs (``guardrails=True``) and observed runs (an ``observer``
+    :class:`~repro.obs.ObserverBus` with active sinks) call
+    :func:`~repro.core.api.simulate` directly and are not memoized: the
+    guardrail report and the sinks' in-memory state (pipeline logs, slot
+    charges) are not part of any payload, so a cached result would come
+    back without them.
     """
-    if observer is not None and observer.active:
-        binaries = build_workload(workload, iterations, max_distance)
-        binary = binaries.all()[binary_label]
+    binary = build_workload(workload, iterations, max_distance).all()[
+        binary_label]
+    if guardrails or (observer is not None and observer.active):
         with deadline(timeout_s, f"{workload}/{binary_label}/{config.name}"):
             return simulate(binary, config, warm_caches=True,
                             guardrails=guardrails, observer=observer)
-    key = (
-        workload,
-        binary_label,
-        config.cache_key(),
-        iterations,
-        max_distance,
-        bool(guardrails),
+    from repro.harness.experiments import timing_task
+    from repro.harness.sweep import (
+        ensure_results,
+        payload_or_raise,
+        rehydrate_timing,
     )
-    if key not in _run_cache:
-        binaries = build_workload(workload, iterations, max_distance)
-        binary = binaries.all()[binary_label]
-        with deadline(timeout_s, f"{workload}/{binary_label}/{config.name}"):
-            if guardrails:
-                _run_cache[key] = simulate(
-                    binary, config, warm_caches=True, guardrails=True
-                )
-            else:
-                from repro.harness.sweep import cached_simulate
 
-                _run_cache[key] = cached_simulate(binary, config)
-    return _run_cache[key]
+    task = timing_task(workload, binary_label, config,
+                       max_distance=max_distance, iterations=iterations)
+    task.timeout_s = timeout_s
+    payload = payload_or_raise(ensure_results([task])[task.task_id],
+                               task.task_id)
+    return rehydrate_timing(binary, config, payload)
 
 
 #: Thread-local stack of active deadline records, innermost last.  Every
@@ -297,54 +285,3 @@ def _deadline_timer(record):
                 ctypes.c_ulong(thread_id), None
             )
             raise record.timeout_error()
-
-
-def run_suite(names=None, timeout_s=None, diagnostics_dir=None,
-              raise_on_error=False):
-    """Run experiment registry entries, degrading to partial results.
-
-    Returns ``{"results": {name: result}, "manifest": {...}}`` where the
-    manifest lists completed and failed experiments with per-failure detail.
-    With ``diagnostics_dir`` set, each failure also produces a JSON crash
-    dump and the manifest itself is persisted there.
-    """
-    from repro.harness.experiments import ALL_EXPERIMENTS
-
-    names = list(names) if names else sorted(ALL_EXPERIMENTS)
-    results = {}
-    errors = []
-    for name in names:
-        runner = ALL_EXPERIMENTS.get(name)
-        if runner is None:
-            errors.append({"experiment": name, "type": "KeyError",
-                           "message": f"unknown experiment {name!r}"})
-            continue
-        try:
-            with deadline(timeout_s, name):
-                results[name] = runner()
-        except Exception as exc:  # noqa: BLE001 - sweep must degrade, not die
-            if raise_on_error:
-                raise
-            record = {
-                "experiment": name,
-                "type": type(exc).__name__,
-                "message": str(exc),
-            }
-            if diagnostics_dir:
-                from repro.guardrails.crashdump import write_crash_dump
-
-                record["crash_dump"] = write_crash_dump(
-                    diagnostics_dir, name, exc, extra={"experiment": name}
-                )
-            errors.append(record)
-    manifest = {
-        "requested": names,
-        "completed": sorted(results),
-        "failed": [e["experiment"] for e in errors],
-        "errors": errors,
-    }
-    if diagnostics_dir and errors:
-        from repro.guardrails.crashdump import write_manifest
-
-        manifest["manifest_path"] = write_manifest(diagnostics_dir, manifest)
-    return {"results": results, "manifest": manifest}

@@ -35,7 +35,7 @@ import time
 
 from repro.common.errors import ReproError, SimulationError
 from repro.harness import cache as cache_mod
-from repro.harness.sweep import run_sweep
+from repro.harness.sweep import run_sweep, unique_tasks
 
 #: Exception type names treated as transient: environmental, worth retrying.
 #: Everything else — and every :class:`SimulationError` subclass except the
@@ -315,16 +315,14 @@ def supervised_sweep(tasks, jobs=None, progress=None, checkpoint=None,
     * ``interrupt_after`` — chaos/test hook: raise
       :class:`SweepInterrupted` after this many *newly executed* tasks have
       been journaled this invocation.
+
+    Like :func:`run_sweep`, it refuses two tasks that share an id but not
+    their content (:func:`~repro.harness.sweep.unique_tasks`).
     """
     started = time.perf_counter()
     policy = policy or RetryPolicy()
 
-    ordered = []
-    seen = set()
-    for task in tasks:
-        if task.task_id not in seen:
-            seen.add(task.task_id)
-            ordered.append(task)
+    ordered = unique_tasks(tasks)
     keys = {task.task_id: task.checkpoint_key() for task in ordered}
 
     journal = CheckpointJournal(checkpoint) if checkpoint else None

@@ -22,12 +22,19 @@ Guarantees:
   with traceback); the sweep writes a crash dump, notes the failure in the
   manifest, and completes every remaining task.  A worker process dying
   outright (broken pool) re-runs the unfinished tasks inline.
-* **Budgets** — each task gets a wall-clock ``deadline`` inside its worker
-  (SIGALRM-based, same machinery as the PR 1 hardened harness).
+* **Budgets** — each task gets a wall-clock budget inside its worker
+  (:func:`repro.harness.runner.deadline`).
 
 ``run_sweep`` never requires the pool: with ``jobs <= 1`` everything runs
 inline in the calling process, and tasks fully served by the cache never
 spawn a worker at all (the warm path of ``examples/reproduce_paper.py``).
+
+Each identity has one builder: :meth:`SweepTask.checkpoint_key` names a
+task's content (the journal and the in-process memo of
+:func:`ensure_results` key on it), :func:`result_key` gives its
+result-cache key and :func:`compile_key` the artifact key of a
+compilation.  :func:`execute_task` is the only code that looks up, runs
+and stores a result.
 """
 
 import os
@@ -91,12 +98,14 @@ class SweepTask:
         self.sampling = dict(sampling) if sampling else None
 
     def checkpoint_key(self):
-        """Stable identity of this grid point for the checkpoint journal.
+        """Stable identity of this grid point: the journal and memo key.
 
-        Covers everything that determines the payload — the full config timing
-        identity, backend options, task kind and the engine schema/toolchain
-        tags — so a journal entry is replayed only for the exact same work,
-        and never across a toolchain or schema bump.
+        Covers everything that determines the payload — the full config
+        timing identity, workload parameters, backend options (inline
+        source included), task kind, attribution, sampling and the engine
+        schema/toolchain tags — so a journal entry is replayed, and a
+        memoized payload served, only for the exact same work, and never
+        across a toolchain or schema bump.
         """
         return cache_mod.canonical_key({
             "task": self.task_id,
@@ -122,6 +131,18 @@ class SweepTask:
 # ---------------------------------------------------------------------------
 
 
+def compile_key(source, target, max_distance, backend_opts):
+    """The artifact-cache key of one compilation."""
+    return {
+        "kind": "compile",
+        "tag": cache_mod.TOOLCHAIN_TAG,
+        "source": cache_mod.source_digest(source),
+        "target": target,
+        "max_distance": max_distance,
+        "opts": dict(sorted(backend_opts.items())),
+    }
+
+
 def compile_binary_cached(source, target="straight", max_distance=1023,
                           **backend_opts):
     """Compile one source/target/options point, persistently memoized.
@@ -138,14 +159,7 @@ def compile_binary_cached(source, target="straight", max_distance=1023,
     from repro import isa as isa_registry
 
     descriptor, target_opts = isa_registry.resolve_target(target)
-    artifact_key = {
-        "kind": "compile",
-        "tag": cache_mod.TOOLCHAIN_TAG,
-        "source": cache_mod.source_digest(source),
-        "target": target,
-        "max_distance": max_distance,
-        "opts": dict(sorted(backend_opts.items())),
-    }
+    artifact_key = compile_key(source, target, max_distance, backend_opts)
     artifacts = cache_mod.artifact_cache()
     if artifacts is not None:
         binary = artifacts.get(artifact_key)
@@ -184,19 +198,11 @@ def _resolve_binary(task, compile_missing=True):
         if source is None:
             source = get_workload(task.workload).source(task.iterations)
         target = opts.pop("target", "straight")
-        if not compile_missing and cache_mod.artifact_cache() is None:
-            return None
         if not compile_missing:
             # Probe without compiling: re-issue the lookup only.
-            artifact_key = {
-                "kind": "compile",
-                "tag": cache_mod.TOOLCHAIN_TAG,
-                "source": cache_mod.source_digest(source),
-                "target": target,
-                "max_distance": task.max_distance,
-                "opts": dict(sorted(opts.items())),
-            }
-            return cache_mod.artifact_cache().get(artifact_key)
+            artifacts = cache_mod.artifact_cache()
+            return None if artifacts is None else artifacts.get(
+                compile_key(source, target, task.max_distance, opts))
         return compile_binary_cached(
             source, target=target, max_distance=task.max_distance, **opts
         )
@@ -214,29 +220,31 @@ def _resolve_binary(task, compile_missing=True):
 # ---------------------------------------------------------------------------
 
 
-def _timing_key(binary, config, warm, attribution=False, sampling=None):
+def result_key(task, binary):
+    """The result-cache key of ``task`` run on ``binary``.
+
+    Functional runs key on the binary alone.  Timing runs add the config's
+    timing identity and the attribution flag, and sampled runs their
+    schedule: a sampled estimate never serves a full run or vice versa.
+    Only sampled runs carry a ``sampling`` field, so full-run entries keep
+    the keys they had before sampling existed.
+    """
+    digest = cache_mod.binary_digest(binary)
+    if task.kind == "functional":
+        return {"kind": "functional", "tag": cache_mod.TOOLCHAIN_TAG,
+                "binary": digest}
     key = {
         "kind": "timing",
         "tag": cache_mod.TOOLCHAIN_TAG,
-        "binary": cache_mod.binary_digest(binary),
-        "config": config.cache_key(),
-        "warm": bool(warm),
+        "binary": digest,
+        "config": task.config.cache_key(),
+        "warm": True,
         "guardrails": False,
-        "attribution": bool(attribution),
+        "attribution": bool(task.attribution),
     }
-    if sampling:
-        # Only sampled runs carry the schedule, so every pre-existing
-        # full-run cache entry keeps its key (no mass invalidation).
-        key["sampling"] = dict(sampling)
+    if task.sampling:
+        key["sampling"] = dict(task.sampling)
     return key
-
-
-def _functional_key(binary):
-    return {
-        "kind": "functional",
-        "tag": cache_mod.TOOLCHAIN_TAG,
-        "binary": cache_mod.binary_digest(binary),
-    }
 
 
 def _timing_payload(result):
@@ -271,150 +279,68 @@ def rehydrate_timing(binary, config, payload):
     return SimulationResult(binary, config, run_result, None, stats)
 
 
-def execute_task(task, payload_only=True):
-    """Run one task in this process, via the result cache when possible.
-
-    Returns the JSON-safe payload dict (what workers ship back to the
-    parent); set ``payload_only=False`` to get ``(payload, served_from_cache)``.
-    """
-    binary = _resolve_binary(task)
-    results = cache_mod.result_cache()
+def _run_task(task, binary):
+    """The payload of one fresh run of ``task`` on ``binary``."""
     if task.kind == "functional":
-        key = _functional_key(binary)
-        if results is not None:
-            hit = results.get(key)
-            if hit is not None:
-                return hit if payload_only else (hit, True)
         from repro.core.api import run_functional
 
         run = run_functional(binary)
-        payload = _functional_payload(run.interpreter, run.run_result)
-    else:
-        attribution = getattr(task, "attribution", False)
-        sampling = getattr(task, "sampling", None)
-        key = _timing_key(binary, task.config, warm=True,
-                          attribution=attribution, sampling=sampling)
-        if results is not None:
-            hit = results.get(key)
-            if hit is not None:
-                return hit if payload_only else (hit, True)
-        if sampling is not None:
-            if attribution:
-                raise ValueError(
-                    "attribution needs every committed instruction; "
-                    "run it on a full (non-sampled) task"
-                )
-            from repro.harness.sampling import SamplingParams, simulate_sampled
+        return _functional_payload(run.interpreter, run.run_result)
+    if task.sampling is not None:
+        if task.attribution:
+            raise ValueError(
+                "attribution needs every committed instruction; "
+                "run it on a full (non-sampled) task"
+            )
+        from repro.harness.sampling import SamplingParams, simulate_sampled
 
-            result = simulate_sampled(binary, task.config,
-                                      SamplingParams.from_dict(sampling),
-                                      warm_caches=True)
-            payload = _timing_payload(result)
-        else:
-            from repro.core.api import simulate
-
-            observer = None
-            accountant = None
-            if attribution:
-                from repro.obs import ObserverBus, StallAttributionAccountant
-
-                accountant = StallAttributionAccountant()
-                observer = ObserverBus([accountant])
-            result = simulate(binary, task.config, warm_caches=True,
-                              observer=observer)
-            payload = _timing_payload(result)
-            if accountant is not None:
-                payload["attribution"] = accountant.report()
-    if results is not None:
-        results.put(key, payload)
-    return payload if payload_only else (payload, False)
-
-
-def cached_simulate(binary, config, warm_caches=True):
-    """Result-cached drop-in for :func:`repro.core.api.simulate`.
-
-    Serial callers (the ablations, ``timed_run``) funnel through this so a
-    sweep's persisted results and a later interactive run share entries.
-    """
-    results = cache_mod.result_cache()
-    key = None
-    if results is not None and warm_caches:
-        key = _timing_key(binary, config, warm=True)
-        hit = results.get(key)
-        if hit is not None:
-            return rehydrate_timing(binary, config, hit)
+        result = simulate_sampled(binary, task.config,
+                                  SamplingParams.from_dict(task.sampling),
+                                  warm_caches=True)
+        return _timing_payload(result)
     from repro.core.api import simulate
 
-    result = simulate(binary, config, warm_caches=warm_caches)
-    if key is not None:
-        results.put(key, _timing_payload(result))
-    return result
+    observer = None
+    accountant = None
+    if task.attribution:
+        from repro.obs import ObserverBus, StallAttributionAccountant
+
+        accountant = StallAttributionAccountant()
+        observer = ObserverBus([accountant])
+    result = simulate(binary, task.config, warm_caches=True,
+                      observer=observer)
+    payload = _timing_payload(result)
+    if accountant is not None:
+        payload["attribution"] = accountant.report()
+    return payload
 
 
-def cached_functional_metrics(binary):
-    """Instruction-mix / distance metrics of one binary, result-cached."""
+def execute_task(task, payload_only=True):
+    """Run one task in this process, via the result cache when possible.
+
+    This is the only code that looks up, runs and stores a result.  Returns
+    the JSON-safe payload dict (what workers ship back to the parent); set
+    ``payload_only=False`` to get ``(payload, served_from_cache)``.
+    """
+    binary = _resolve_binary(task)
+    key = result_key(task, binary)
     results = cache_mod.result_cache()
-    key = None
-    if results is not None:
-        key = _functional_key(binary)
-        hit = results.get(key)
-        if hit is not None:
-            return _metrics_view(hit)
-    from repro.core.api import run_functional
-
-    run = run_functional(binary)
-    payload = _functional_payload(run.interpreter, run.run_result)
-    if key is not None:
-        results.put(key, payload)
-    return _metrics_view(payload)
+    payload = None if results is None else results.get(key)
+    served = payload is not None
+    if not served:
+        payload = _run_task(task, binary)
+        if results is not None:
+            results.put(key, payload)
+    return payload if payload_only else (payload, served)
 
 
-def _metrics_view(payload):
+def metrics_view(payload):
+    """A functional payload with ``distance_hist`` keys restored to ints."""
     view = dict(payload)
     view["distance_hist"] = {
         int(d): c for d, c in payload.get("distance_hist", {}).items()
     }
     return view
-
-
-# ---------------------------------------------------------------------------
-# In-process payload memo (what the experiment runners consume)
-# ---------------------------------------------------------------------------
-
-_payload_memo = {}
-_default_jobs = 1
-
-
-def set_default_jobs(jobs):
-    """Set the process-wide parallelism for :func:`ensure_results` callers.
-
-    Entry points (``straight sweep``, ``examples/reproduce_paper.py``) set
-    this once; the experiment runners then fan their grids out without
-    every call site threading a ``jobs`` parameter.
-    """
-    global _default_jobs
-    _default_jobs = max(1, int(jobs))
-
-
-def clear_memo():
-    """Forget in-process sweep payloads (cache-isolation hook for tests)."""
-    _payload_memo.clear()
-
-
-def ensure_results(tasks, jobs=None, progress=None, diagnostics_dir=None):
-    """Guarantee a payload for every task; returns ``{task_id: payload}``.
-
-    Tasks already resolved this process are served from the in-process
-    memo; the rest go through :func:`run_sweep` (persistent cache, then the
-    pool).  This is the single entry point the experiment runners use.
-    """
-    missing = [t for t in tasks if t.task_id not in _payload_memo]
-    if missing:
-        report = run_sweep(missing, jobs=jobs if jobs is not None
-                           else _default_jobs, progress=progress,
-                           diagnostics_dir=diagnostics_dir)
-        _payload_memo.update(report.results)
-    return {t.task_id: _payload_memo[t.task_id] for t in tasks}
 
 
 def payload_or_raise(payload, label=""):
@@ -428,10 +354,60 @@ def payload_or_raise(payload, label=""):
     return payload
 
 
-def metrics_view(payload):
-    """A functional payload with ``distance_hist`` keys restored to ints."""
-    return _metrics_view(payload)
+# ---------------------------------------------------------------------------
+# Task identity and the in-process memo (what the experiment runners consume)
+# ---------------------------------------------------------------------------
 
+
+def unique_tasks(tasks):
+    """``tasks`` with repeated ids dropped, first occurrence kept.
+
+    A task id names one unit of work: two tasks that share an id but not a
+    :meth:`SweepTask.checkpoint_key` raise :class:`ValueError` instead of
+    one silently standing in for the other.  Keys are computed only for
+    repeated ids.
+    """
+    first = {}
+    for task in tasks:
+        kept = first.setdefault(task.task_id, task)
+        if kept is not task and kept.checkpoint_key() != task.checkpoint_key():
+            raise ValueError(
+                f"two different tasks share the id {task.task_id!r}"
+            )
+    return list(first.values())
+
+
+#: Payloads :func:`ensure_results` resolved in this process, keyed on the
+#: task's content (:meth:`SweepTask.checkpoint_key`), never its id.  No
+#: bound: only the experiment grids, ``timed_run`` and the density report
+#: fill it (every experiment together is 73 units); the serve tier and
+#: ``straight sweep`` call :func:`run_sweep` directly.
+#: :func:`repro.harness.runner.clear_cache` empties it.
+_memo = {}
+
+
+def ensure_results(tasks, jobs=1, progress=None, diagnostics_dir=None):
+    """Guarantee a payload for every task; returns ``{task_id: payload}``.
+
+    Tasks already resolved in this process are served from the memo; the
+    rest go through :func:`run_sweep` (persistent cache, then ``jobs``
+    workers; ``None`` means one per CPU).  Error payloads are returned but
+    not memoized, so a later call runs the task again.  This is the single
+    entry point the experiment runners use.
+    """
+    tasks = unique_tasks(tasks)
+    keys = {task.task_id: task.checkpoint_key() for task in tasks}
+    payloads = {task_id: _memo[key] for task_id, key in keys.items()
+                if key in _memo}
+    missing = [task for task in tasks if task.task_id not in payloads]
+    if missing:
+        report = run_sweep(missing, jobs=jobs, progress=progress,
+                           diagnostics_dir=diagnostics_dir)
+        payloads.update(report.results)
+        _memo.update((keys[task_id], payload)
+                     for task_id, payload in report.results.items()
+                     if payload.get("kind") != "error")
+    return {task.task_id: payloads[task.task_id] for task in tasks}
 
 # ---------------------------------------------------------------------------
 # The pool
@@ -521,15 +497,12 @@ def run_sweep(tasks, jobs=None, progress=None, diagnostics_dir=None,
 
     Returns a :class:`SweepReport`.  ``jobs=None`` uses ``os.cpu_count()``;
     ``jobs<=1`` runs inline.  ``progress`` is an optional callable receiving
-    ``(done, total, task_id, status, seconds)`` events.
+    ``(done, total, task_id, status, seconds)`` events.  Two tasks that share
+    an id but not their content raise :class:`ValueError` (see
+    :func:`unique_tasks`).
     """
     started = time.perf_counter()
-    ordered = []
-    seen = set()
-    for task in tasks:
-        if task.task_id not in seen:
-            seen.add(task.task_id)
-            ordered.append(task)
+    ordered = unique_tasks(tasks)
 
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -584,11 +557,8 @@ def run_sweep(tasks, jobs=None, progress=None, diagnostics_dir=None,
             except Exception:  # noqa: BLE001 - unprobeable != failed; the
                 binary = None  # worker will produce the structured error
             if binary is not None:
-                key = (_functional_key(binary) if task.kind == "functional"
-                       else _timing_key(
-                           binary, task.config, warm=True,
-                           attribution=getattr(task, "attribution", False)))
-                served = cache_mod.result_cache().get(key)
+                served = cache_mod.result_cache().get(
+                    result_key(task, binary))
         if served is not None:
             record(task, served, 0.0, "cache")
         else:

@@ -15,9 +15,9 @@ Two views per (ISA, workload) point:
   the mean encoded payload bits per instruction (payload bits / word bits
   is the format utilization);
 * **dynamic** — the retired instruction stream of one functional run
-  (served by the sweep engine's result cache): retired count and mean
-  payload bits per *retired* instruction, which is what the fetch/decode
-  bandwidth actually carries.
+  (a sweep-engine ``functional_task``, so memoized and result-cached):
+  retired count and mean payload bits per *retired* instruction, which is
+  what the fetch/decode bandwidth actually carries.
 
 Code size is also reported relative to the RV32IM baseline of the same
 workload, making the ``bb`` header overhead and STRAIGHT's RMOV overhead
@@ -56,10 +56,19 @@ def static_mnemonic_counts(program):
 
 def density_rows(workloads=DEFAULT_WORKLOADS, isas=None, iterations=None):
     """One row per (workload, registered ISA): static + dynamic density."""
-    from repro.harness.sweep import cached_functional_metrics
+    from repro.harness.experiments import functional_task
+    from repro.harness.sweep import ensure_results, payload_or_raise
     from repro.workloads import build_workload
 
     names = tuple(isas) if isas else isa_registry.names()
+    tasks = {
+        (workload, name): functional_task(
+            workload, isa_registry.get(name).default_label,
+            iterations=iterations)
+        for workload in workloads
+        for name in names
+    }
+    results = ensure_results(list(tasks.values()))
     rows = []
     for workload in workloads:
         build = build_workload(workload, iterations)
@@ -71,8 +80,9 @@ def density_rows(workloads=DEFAULT_WORKLOADS, isas=None, iterations=None):
             bits = payload_bits_by_mnemonic(descriptor)
             static_counts = static_mnemonic_counts(binary.program)
             static_instrs, static_bits = _weighted_bits(static_counts, bits)
-            metrics = cached_functional_metrics(binary)
-            dynamic_counts = metrics["mnemonic_counts"]
+            task = tasks[workload, name]
+            dynamic_counts = payload_or_raise(
+                results[task.task_id], task.task_id)["mnemonic_counts"]
             dynamic_instrs, dynamic_bits = _weighted_bits(dynamic_counts, bits)
             word_bits = descriptor.word_bits
             code_bytes = static_instrs * word_bits // 8

@@ -31,7 +31,7 @@ from repro.guardrails.checkers import (
     WriteOnceChecker,
 )
 from repro.guardrails.crashdump import write_crash_dump, write_manifest
-from repro.harness.runner import clear_cache, deadline, run_suite, timed_run
+from repro.harness.runner import clear_cache, deadline, timed_run
 from tests.conftest import SMALL_PROGRAM_OUTPUT
 
 
@@ -502,41 +502,6 @@ class TestHardenedHarness:
             pass
         with deadline(0):
             pass
-
-    def test_run_suite_degrades_to_partial_results(self, tmp_path,
-                                                   monkeypatch):
-        from repro.harness import experiments
-
-        def boom():
-            raise InvariantViolation("synthetic failure", cycle=11)
-
-        registry = {"ok": lambda: {"text": "fine", "rows": []}, "bad": boom}
-        monkeypatch.setattr(experiments, "ALL_EXPERIMENTS", registry)
-        outcome = run_suite(["ok", "bad"], diagnostics_dir=tmp_path)
-        assert set(outcome["results"]) == {"ok"}
-        manifest = outcome["manifest"]
-        assert manifest["failed"] == ["bad"]
-        (error,) = manifest["errors"]
-        assert error["type"] == "InvariantViolation"
-        dump = json.loads(open(error["crash_dump"]).read())
-        assert dump["error"]["cycle"] == 11
-        persisted = json.loads(open(manifest["manifest_path"]).read())
-        assert persisted["failed"] == ["bad"]
-
-    def test_run_suite_unknown_experiment(self):
-        outcome = run_suite(["does-not-exist"])
-        assert outcome["results"] == {}
-        assert outcome["manifest"]["failed"] == ["does-not-exist"]
-
-    def test_run_suite_raise_on_error(self, monkeypatch):
-        from repro.harness import experiments
-
-        def boom():
-            raise ValueError("surface me")
-
-        monkeypatch.setattr(experiments, "ALL_EXPERIMENTS", {"bad": boom})
-        with pytest.raises(ValueError, match="surface me"):
-            run_suite(["bad"], raise_on_error=True)
 
 
 class TestRunnerCacheKey:

@@ -122,10 +122,20 @@ class TestCheapExperiments:
 
 
 class TestRunnerCache:
-    def test_timed_run_is_memoized(self):
+    def test_timed_run_is_memoized(self, monkeypatch):
+        import repro.core.api as api
+
         first = timed_run("dhrystone", "STRAIGHT-RE+", straight_2way())
+        simulated = []
+        real = api.simulate
+        monkeypatch.setattr(
+            api, "simulate",
+            lambda *args, **kwargs: simulated.append(args)
+            or real(*args, **kwargs),
+        )
         second = timed_run("dhrystone", "STRAIGHT-RE+", straight_2way())
-        assert first is second
+        assert simulated == []
+        assert second.stats.as_dict() == first.stats.as_dict()
 
 
 class TestNestedDeadline:

@@ -365,12 +365,13 @@ class TestStatsAndCache:
         check(first["cache"])
 
     def test_timing_key_separates_attribution_runs(self, small_build):
-        from repro.harness.sweep import _timing_key
+        from repro.harness.sweep import SweepTask, result_key
 
         config = TABLE1["SS-2way"]()
         binary = small_build.all()["SS"]
-        plain = _timing_key(binary, config, warm=True)
-        attributed = _timing_key(binary, config, warm=True, attribution=True)
+        plain = result_key(SweepTask("t", "small", config=config), binary)
+        attributed = result_key(
+            SweepTask("t", "small", config=config, attribution=True), binary)
         assert plain != attributed
 
     def test_sweep_task_carries_attribution_payload(self):

@@ -201,13 +201,16 @@ class TestWarmingToggle:
 
 class TestSweepIntegration:
     def test_sampling_separates_the_result_cache_key(self, golden_binaries):
-        from repro.harness.sweep import _timing_key
+        from repro.harness.sweep import SweepTask, result_key
 
         binary = golden_binaries["SS"]
-        config = ss_2way()
-        plain = _timing_key(binary, config, warm=True)
-        sampled = _timing_key(binary, config, warm=True,
-                              sampling=SamplingParams().as_dict())
+        plain = result_key(
+            SweepTask("t", "dhrystone", binary_label="SS", config=ss_2way()),
+            binary)
+        sampled = result_key(
+            SweepTask("t", "dhrystone", binary_label="SS", config=ss_2way(),
+                      sampling=SamplingParams().as_dict()),
+            binary)
         assert "sampling" not in plain  # pre-existing entries keep their key
         assert sampled["sampling"] == SamplingParams().as_dict()
         assert plain != sampled

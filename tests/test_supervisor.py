@@ -23,7 +23,6 @@ from repro.harness.supervisor import (
     classify_failure,
     supervised_sweep,
 )
-from repro.harness.sweep import clear_memo
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -33,9 +32,7 @@ def disk_cache(tmp_path):
     """A fresh persistent cache rooted in tmp_path, restored afterwards."""
     previous = cache_mod.swap_state()
     cache_mod.configure(str(tmp_path / "cache"), enabled=True)
-    clear_memo()
     yield cache_mod._state
-    clear_memo()
     cache_mod.swap_state(previous)
 
 
@@ -196,7 +193,6 @@ class TestCheckpointResume:
             supervised_sweep(tasks, jobs=jobs, checkpoint=journal,
                              interrupt_after=cut)
         assert excinfo.value.completed == cut
-        clear_memo()
         return supervised_sweep(tasks, jobs=jobs, checkpoint=journal,
                                 resume=True)
 
@@ -205,7 +201,6 @@ class TestCheckpointResume:
         reference = supervised_sweep(tasks, jobs=1,
                                      checkpoint=str(tmp_path / "ref.jsonl"))
         cache_mod.configure(str(tmp_path / "cache2"), enabled=True)
-        clear_memo()
         resumed = self.run_interrupted_then_resume(
             tasks, str(tmp_path / "j.jsonl"), cut=2
         )
@@ -224,7 +219,6 @@ class TestCheckpointResume:
         )
         assert uninterrupted.manifest_bytes() == golden
         cache_mod.configure(str(tmp_path / "cache2"), enabled=True)
-        clear_memo()
         resumed = self.run_interrupted_then_resume(
             tasks, str(tmp_path / "b.jsonl"), cut=1
         )
@@ -236,7 +230,6 @@ class TestCheckpointResume:
         journal = str(tmp_path / "j.jsonl")
         tasks = _grid("keyed", count=2)
         supervised_sweep(tasks, jobs=1, checkpoint=journal)
-        clear_memo()
         changed = _grid("keyed", count=2)
         changed[0].config = changed[0].config.copy(
             mem_latency=changed[0].config.mem_latency + 7
@@ -254,7 +247,6 @@ class TestCheckpointResume:
         first = supervised_sweep(tasks, jobs=1, checkpoint=journal,
                                  policy=no_sleep())
         assert first.manifest["failed"] == [tasks[0].task_id]
-        clear_memo()
         resumed = supervised_sweep(tasks, jobs=1, checkpoint=journal,
                                    resume=True, policy=no_sleep())
         assert sorted(resumed.telemetry["resumed"]) == sorted(
@@ -267,7 +259,6 @@ class TestCheckpointResume:
         journal = str(tmp_path / "j.jsonl")
         tasks = _grid("fresh", count=2)
         supervised_sweep(tasks, jobs=1, checkpoint=journal)
-        clear_memo()
         # Without resume=True the journal must not leak into a fresh sweep.
         report = supervised_sweep(tasks, jobs=1, checkpoint=journal)
         assert report.telemetry["resumed"] == []

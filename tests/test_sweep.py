@@ -21,10 +21,9 @@ from repro.harness import cache as cache_mod
 from repro.harness.runner import clear_cache
 from repro.harness.sweep import (
     SweepTask,
-    clear_memo,
     compile_binary_cached,
-    cached_simulate,
     ensure_results,
+    execute_task,
     payload_or_raise,
     run_sweep,
 )
@@ -44,9 +43,9 @@ def disk_cache(tmp_path):
     """A fresh persistent cache rooted in tmp_path, restored afterwards."""
     previous = cache_mod.swap_state()
     cache_mod.configure(str(tmp_path / "cache"), enabled=True)
-    clear_memo()
+    clear_cache()
     yield cache_mod._state
-    clear_memo()
+    clear_cache()
     cache_mod.swap_state(previous)
 
 
@@ -79,9 +78,8 @@ class TestSweepEngine:
     def test_pool_matches_inline_bit_for_bit(self, disk_cache, tmp_path):
         tasks = tiny_tasks()
         inline = run_sweep(tasks, jobs=1)
-        # Fresh cache + memo so the pooled run recomputes from scratch.
+        # A fresh cache so the pooled run recomputes from scratch.
         cache_mod.configure(str(tmp_path / "cache2"), enabled=True)
-        clear_memo()
         pooled = run_sweep(tasks, jobs=2)
         assert pooled.ok
         assert list(pooled.results) == list(inline.results)
@@ -91,7 +89,6 @@ class TestSweepEngine:
         tasks = tiny_tasks()
         cold = run_sweep(tasks, jobs=1)
         assert cold.manifest["cache_served"] == 0
-        clear_memo()
         warm = run_sweep(tasks, jobs=1)
         assert warm.manifest["cache_served"] == len(tasks)
         assert warm.result_hit_rate() == 1.0
@@ -163,10 +160,12 @@ class TestCacheKeys:
 
     def test_configs_differing_in_timing_field_get_distinct_entries(
             self, disk_cache):
-        binary = compile_binary_cached(TINY, target="straight")
         base = straight_2way()
-        cached_simulate(binary, base)
-        cached_simulate(binary, base.copy(mem_latency=base.mem_latency + 50))
+        for config in (base, base.copy(mem_latency=base.mem_latency + 50)):
+            execute_task(SweepTask(
+                "tiny", "tiny", config=config,
+                compile_opts={"target": "straight", "source_text": TINY},
+            ))
         results = cache_mod.result_cache()
         assert results.stats.stores == 2
 
@@ -212,7 +211,6 @@ class TestInvalidation:
         assert not os.path.exists(os.path.join(root, "results"))
         assert not os.path.exists(os.path.join(root, "artifacts"))
         cache_mod.configure(enabled=True)
-        clear_memo()
         report = run_sweep(tiny_tasks(), jobs=1)
         assert report.manifest["cache_served"] == 0
 
@@ -291,7 +289,6 @@ class TestBrokenPoolFallback:
         tasks = self.kill_grid(tmp_path)
         broken = run_sweep(tasks, jobs=2)
         cache_mod.configure(str(tmp_path / "cache-clean"), enabled=True)
-        clear_memo()
         clean = run_sweep(self.kill_grid(tmp_path), jobs=1)
         assert not clean.manifest["inline_fallback"]
         assert broken.results == clean.results
@@ -300,3 +297,105 @@ class TestBrokenPoolFallback:
         report = run_sweep(tiny_tasks(), jobs=2)
         assert report.ok
         assert report.manifest["inline_fallback"] == []
+
+
+@pytest.fixture
+def memory_only():
+    """Memory-only caching (no persistent layer) and an empty memo."""
+    previous = cache_mod.swap_state()
+    cache_mod.configure(enabled=False)
+    clear_cache()
+    yield
+    clear_cache()
+    cache_mod.swap_state(previous)
+
+
+class TestTaskIdentity:
+    """One id per unit of work, one result key per run."""
+
+    def test_sampled_task_is_not_served_the_full_run(self, disk_cache):
+        from repro.harness.sampling import SamplingParams
+
+        opts = {"target": "riscv", "source_text": TINY}
+        full = SweepTask("tiny/full", "tiny", config=ss_2way(),
+                         compile_opts=opts)
+        sampled = SweepTask("tiny/sampled", "tiny", config=ss_2way(),
+                            compile_opts=opts,
+                            sampling=SamplingParams().as_dict())
+        cold = run_sweep([full, sampled], jobs=1)
+        assert cold.ok
+        # The parent's cache pre-pass must key the sampled task on its
+        # schedule, exactly as the worker that stored it did.
+        warm = run_sweep([sampled], jobs=1)
+        assert warm.manifest["cache_served"] == 1
+        payload = warm.results["tiny/sampled"]
+        assert payload["stats"]["sampling"]
+        assert payload == cold.results["tiny/sampled"]
+        assert payload != cold.results["tiny/full"]
+
+    def test_grid_tasks_are_distinct_units(self):
+        from repro.harness.experiments import _grid_builders, grid_tasks
+
+        tasks = grid_tasks()
+        keys = {task.checkpoint_key() for task in tasks}
+        assert len(tasks) == len(keys) == 73
+        # No experiment's unit of work is dropped by the id dedup.
+        assert keys == {task.checkpoint_key()
+                        for builder in _grid_builders().values()
+                        for task in builder()}
+
+    def test_iteration_counts_get_their_own_results(self, memory_only):
+        from repro.harness.experiments import timing_task
+
+        forty, forty_one = (
+            timing_task("dhrystone", "SS", ss_2way(), iterations=count)
+            for count in (40, 41)
+        )
+        assert forty.task_id != forty_one.task_id
+        instructions = [
+            payload_or_raise(ensure_results([task])[task.task_id])
+            ["stats"]["instructions"]
+            for task in (forty, forty_one)
+        ]
+        assert instructions[0] < instructions[1]
+
+    def test_clashing_task_ids_raise(self, memory_only):
+        base = SweepTask("clash", "tiny", config=ss_2way(),
+                         compile_opts={"target": "riscv",
+                                       "source_text": TINY})
+        other = SweepTask("clash", "tiny", config=ss_2way(mem_latency=7),
+                          compile_opts={"target": "riscv",
+                                        "source_text": TINY})
+        with pytest.raises(ValueError, match="clash"):
+            run_sweep([base, other], jobs=1)
+        with pytest.raises(ValueError, match="clash"):
+            ensure_results([base, other])
+        # The same unit of work repeated under one id is still one task.
+        twin = SweepTask("clash", "tiny", config=ss_2way(),
+                         compile_opts={"target": "riscv",
+                                       "source_text": TINY})
+        report = run_sweep([base, twin], jobs=1)
+        assert report.manifest["requested"] == ["clash"]
+
+
+class TestMemo:
+    def test_figures_after_a_pooled_sweep_simulate_nothing(self, memory_only,
+                                                           monkeypatch):
+        from repro.harness import sweep
+        from repro.harness.experiments import (
+            fig12_performance_2way,
+            fig16_distance_distribution,
+            grid_tasks,
+        )
+
+        ensure_results(grid_tasks(["fig12", "fig16"]), jobs=2)
+        calls = []
+        real = sweep.run_sweep
+        monkeypatch.setattr(
+            sweep, "run_sweep",
+            lambda *args, **kwargs: calls.append(args)
+            or real(*args, **kwargs),
+        )
+        fig12_performance_2way()
+        fig16_distance_distribution()
+        assert calls == []

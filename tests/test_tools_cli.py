@@ -200,12 +200,9 @@ class TestSweep:
     @pytest.fixture
     def scoped_cache(self):
         from repro.harness import cache as cache_mod
-        from repro.harness.sweep import clear_memo
 
         previous = cache_mod.swap_state()
-        clear_memo()
         yield
-        clear_memo()
         cache_mod.swap_state(previous)
 
     def test_unknown_grid_name_fails(self, scoped_cache, tmp_path, capsys):
@@ -230,9 +227,6 @@ class TestSweep:
         assert cold["manifest"]["failed"] == []
         assert cold["result_hit_rate"] == 0.0
 
-        from repro.harness.sweep import clear_memo
-
-        clear_memo()
         code, _, _ = run_cli(
             ["sweep", "fig16", "--jobs", "1", "--cache-dir", cache_dir,
              "--json", str(report_path), "--quiet", "--min-hit-rate", "0.9",
