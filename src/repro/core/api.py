@@ -35,9 +35,10 @@ class Binary:
                     trace_values=False):
         """This binary's functional simulator.
 
-        ``compiled`` forces the threaded-code fast path on (``True``), off
-        (``False``) or leaves the interpreter's default policy (``None`` —
-        on unless ``STRAIGHT_FASTPATH=0`` or the program is incompatible).
+        ``compiled`` forces the threaded-code fast path on (``True``:
+        every block compiles at its first entry), off (``False``) or leaves
+        the interpreter's default policy (``None`` — blocks compile once hot,
+        unless ``STRAIGHT_FASTPATH=0`` or the program is incompatible).
         ``trace_values`` makes the recorded trace keep every instruction's
         result, which lockstep co-simulation compares at commit.
         """

@@ -23,16 +23,23 @@ technique, done with textual codegen + ``exec``):
   first-occurrence order the baseline produces, so the final statistics
   dicts are identical — iteration order included.
 
-One function set is generated per program and memoized on the program
-object (one compile per linked binary, like pre-decode itself): a block
-function per basic block, used by every run and the sampled-simulation
-fast-forward.  A trace-collecting run passes each one the trace's
-memory-address recorder and records the block's static indices as one span
-(:class:`~repro.common.trace.CompactTrace`).  Single instructions go
-through the interpreter's own ``step_op``: ``step()``, landing exactly on
-``max_steps``/window boundaries, a computed jump target inside a block,
-and blocks whose span the index stream cannot express.  Interpreters that
-run no generated code compile none: one whose trace records every result
+Code is generated in proportion to the run.  :func:`compiled_for` builds
+only a binary's static tables (the block partition, block lengths, trace
+spans, control descriptors and ``min_mrp``) and memoizes them on the
+program object, like pre-decode itself.  The dispatch loops count each
+entry into a cold block; when a block's count reaches
+:data:`HOT_THRESHOLD`, that block alone is emitted, ``compile()``d and
+``exec``'d into the binary's one namespace, and every later run over the
+binary uses it.  Counts are shared by every run over the binary, so a loop
+that each short run enters only a few dozen times still compiles.  Cold
+blocks, and single instructions, go through the interpreter's own
+``step_op``: ``step()``, landing exactly on ``max_steps``/window
+boundaries, a computed jump target inside a block, and, in a
+trace-collecting run, blocks whose span the index stream cannot express.
+A trace-collecting run passes a block function the trace's memory-address
+recorder and records the block's static indices as one span
+(:class:`~repro.common.trace.CompactTrace`).  Interpreters that run no
+generated code compile none: one whose trace records every result
 (guarded runs, fault campaigns) takes the baseline loop.
 
 Architectural state is bit-identical to the baseline interpreter loop on
@@ -44,7 +51,10 @@ compiler bugs by definition and nothing asserts statistics after a crash.
 
 ``STRAIGHT_FASTPATH=0`` in the environment disables the whole subsystem
 (every interpreter falls back to the baseline ``step_op`` loop), and each
-interpreter accepts ``compiled=True/False/None`` to override per instance.
+interpreter accepts ``compiled=True/False/None`` to override per instance:
+``True`` compiles every block at its first entry, ``False`` takes the
+baseline loop, and ``None`` (the default) compiles hot blocks while the
+global switch is on.
 """
 
 import os
@@ -52,12 +62,21 @@ import os
 from repro.common.errors import SimulationError
 
 __all__ = [
+    "HOT_THRESHOLD",
     "enabled",
     "compiled_for",
     "run_compiled",
     "run_compiled_warming",
     "CompiledProgram",
 ]
+
+
+#: Entries into a cold block before it compiles.  The break-even of
+#: compiling a block is its compile time per static instruction over the
+#: time a compiled block saves per executed instruction, measured at 37-109
+#: entries for RV32IM and bb binaries and 63-94 for STRAIGHT ones on a
+#: shared 2-vCPU x86-64 host (DESIGN.md §14.1).
+HOT_THRESHOLD = 64
 
 
 def enabled(default=True):
@@ -75,20 +94,21 @@ def enabled(default=True):
 def compiled_for(program, isa):
     """The memoized :class:`CompiledProgram` of ``program``.
 
-    ``isa`` is the registered ISA name; ``straight`` programs compile via
-    :mod:`repro.fastpath.straight_gen`, gpr programs (``riscv``, ``bb``)
-    via :mod:`repro.fastpath.riscv_gen`.  Like the pre-decode array, the
-    compiled unit is static (it holds no run state), so every interpreter
-    over the same linked binary shares one compile.
+    ``isa`` is the registered ISA name; ``straight`` programs take their
+    tables and block emitter from :mod:`repro.fastpath.straight_gen`, gpr
+    programs (``riscv``, ``bb``) from :mod:`repro.fastpath.riscv_gen`.
+    Building it generates no code: blocks compile one at a time once hot.
+    Every interpreter over the same linked binary shares the one instance,
+    its entry counts and its compiled blocks.
     """
     cached = getattr(program, "_fastpath_compiled", None)
     if cached is not None and cached.n == len(program.instrs):
         return cached
     if isa == "straight":
-        from repro.fastpath.straight_gen import compile_program
+        from repro.fastpath.straight_gen import prepare
     else:
-        from repro.fastpath.riscv_gen import compile_program
-    compiled = compile_program(program)
+        from repro.fastpath.riscv_gen import prepare
+    compiled = prepare(program)
     program._fastpath_compiled = compiled
     return compiled
 
@@ -96,17 +116,21 @@ def compiled_for(program, isa):
 def run_compiled(it, max_steps):
     """Drive interpreter ``it`` through its compiled program.
 
-    Runs execute whole blocks; the final instructions before ``max_steps``
-    go through ``step_op`` so the step count is exact.  A computed jump
-    landing mid-block (``JR``/``JALR`` to a non-leader) single-steps until
-    the next block boundary.  A trace-collecting run records each block as
-    its span of static indices plus its memory addresses (the trace keeps
-    no results: interpreters that record them never compile).  Returns the
-    number of instructions executed.
+    Runs execute whole hot blocks; each entry into a cold block counts
+    towards compiling it (``it._hot_threshold`` entries), and until then
+    the block single-steps through ``step_op``.  The final instructions
+    before ``max_steps`` go through ``step_op`` so the step count is exact.
+    A computed jump landing mid-block (``JR``/``JALR`` to a non-leader)
+    single-steps until the next block boundary.  A trace-collecting run
+    records each block as its span of static indices plus its memory
+    addresses (the trace keeps no results: interpreters that record them
+    never compile).  Returns the number of instructions executed.
     """
     fast = it._fast
     blocks = fast.block_funcs
     lens = fast.block_lens
+    enter = fast.enter
+    hot = it._hot_threshold
     decoded = it.decoded
     step_op = it.step_op
     n = fast.n
@@ -123,19 +147,23 @@ def run_compiled(it, max_steps):
                     f"pc out of text segment: {it._pc():#x}"
                 )
             span = spans[index]
-            if span is not None and steps + lens[index] <= max_steps:
-                blocks[index](it, record_mem)
-                extend(span)
-                steps += lens[index]
-            else:
-                step_op(decoded[index])
-                steps += 1
+            if span is not None:
+                fn = blocks[index] or enter(index, hot)
+                if fn is not None and steps + lens[index] <= max_steps:
+                    fn(it, record_mem)
+                    extend(span)
+                    steps += lens[index]
+                    continue
+            step_op(decoded[index])
+            steps += 1
         return steps
     while not it.halted and steps < max_steps:
         index = it.pc_index
         if not 0 <= index < n:
             raise SimulationError(f"pc out of text segment: {it._pc():#x}")
         fn = blocks[index]
+        if fn is None and lens[index]:
+            fn = enter(index, hot)
         if fn is not None and steps + lens[index] <= max_steps:
             fn(it)
             steps += lens[index]
@@ -149,8 +177,9 @@ def run_compiled_warming(it, max_steps, note):
     """Trace-less compiled run that reports every control transfer.
 
     The sampled-simulation fast-forward path: identical to the trace-less
-    loop of :func:`run_compiled`, plus one ``note(term, next_index)`` call
-    per executed branch/jump, where ``term`` is the
+    loop of :func:`run_compiled` (cold blocks counting towards their
+    compile included), plus one ``note(term, next_index)`` call per
+    executed branch/jump, where ``term`` is the
     :data:`CompiledProgram.term_at` descriptor.  The sampling runner feeds
     these into the branch predictor, BTB and RAS (functional warming) so
     their state entering each measurement window matches a continuous
@@ -159,6 +188,8 @@ def run_compiled_warming(it, max_steps, note):
     fast = it._fast
     blocks = fast.block_funcs
     lens = fast.block_lens
+    enter = fast.enter
+    hot = it._hot_threshold
     decoded = it.decoded
     step_op = it.step_op
     term_at = fast.term_at
@@ -169,6 +200,8 @@ def run_compiled_warming(it, max_steps, note):
         if not 0 <= index < n:
             raise SimulationError(f"pc out of text segment: {it._pc():#x}")
         fn = blocks[index]
+        if fn is None and lens[index]:
+            fn = enter(index, hot)
         if fn is not None and steps + lens[index] <= max_steps:
             fn(it)
             steps += lens[index]

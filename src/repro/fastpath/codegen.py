@@ -1,14 +1,14 @@
 """Shared codegen machinery for the threaded-code fast path.
 
 Both ISA generators (:mod:`repro.fastpath.straight_gen`,
-:mod:`repro.fastpath.riscv_gen`) emit one Python module's worth of source
-text per linked binary — one function per basic block — and ``exec`` it
-once against a small namespace of pre-bound helpers.  This module owns the
-pieces that are identical on both sides:
+:mod:`repro.fastpath.riscv_gen`) emit Python source for one basic block at
+a time and ``exec`` it into the binary's one namespace of pre-bound
+helpers, once that block has run hot.  This module owns the pieces that
+are identical on both sides:
 
 * :class:`SourceWriter` — indentation-tracking line buffer;
-* :class:`CompiledProgram` — the compiled artifact the dispatch driver
-  consumes (dense block tables);
+* :class:`CompiledProgram` — the dense block tables the dispatch driver
+  consumes, the per-block entry counts, and the per-block compile;
 * the inline 32-bit ALU/compare expression templates, textually mirroring
   :func:`repro.ir.passes.constfold.eval_binop` / ``eval_icmp`` exactly —
   divide/remainder keep their subtle corner semantics (including the
@@ -29,18 +29,34 @@ SIGN = 2147483648     # 0x8000_0000
 
 
 class CompiledProgram:
-    """The compiled fast path of one linked binary (static, shareable)."""
+    """The fast path of one linked binary: block tables and hot blocks.
 
-    __slots__ = ("n", "block_funcs", "block_lens", "min_mrp",
-                 "block_ranges", "term_at", "block_spans")
+    Built from static tables only; no source is generated up front.  The
+    dispatch loops count each entry into a cold block in :attr:`entries`,
+    and a block whose count reaches the run's threshold is emitted,
+    compiled and ``exec``'d on its own (:meth:`enter`).  One instance is
+    shared by every interpreter over the binary, counts included, so a
+    block entered a few times by each of many short runs still compiles.
+    Two threads may race on a count or a compile: a lost increment only
+    delays a compile, and compiling a block twice installs an equivalent
+    function.
+    """
 
-    def __init__(self, n, block_funcs, block_lens, min_mrp=0,
-                 block_ranges=(), term_at=(), block_spans=()):
+    __slots__ = ("n", "block_funcs", "block_lens", "min_mrp", "term_at",
+                 "block_spans", "entries", "_decoded", "_emit",
+                 "_namespace", "_tag")
+
+    def __init__(self, program, decoded, ranges, emit, tag, term_at,
+                 min_mrp=0):
+        n = len(decoded)
         self.n = n
-        #: Dense tables indexed by instruction index: a block function (and
-        #: its length) at each leader, None/0 elsewhere.
-        self.block_funcs = block_funcs
-        self.block_lens = block_lens
+        #: Dense tables indexed by instruction index: a hot block's function
+        #: (None while it is cold) and its length at each leader, None/0
+        #: elsewhere.
+        self.block_funcs = [None] * n
+        self.block_lens = [0] * n
+        for start, end in ranges:
+            self.block_lens[start] = end - start
         #: Smallest ``max_rp`` the intra-block forwarding is valid for
         #: (STRAIGHT only): a forwarded distance ``d`` reads the producer's
         #: local, which matches the register file only while no later
@@ -48,7 +64,6 @@ class CompiledProgram:
         #: ``max_rp >= d``.  Interpreters with a smaller circular file fall
         #: back to the baseline loop.
         self.min_mrp = min_mrp
-        self.block_ranges = block_ranges
         #: Control-flow descriptors indexed by instruction index —
         #: ``(pc, is_conditional, is_call, is_return, fallthrough_index)``
         #: at every branch/jump, None elsewhere.  Sampled simulation uses
@@ -60,7 +75,30 @@ class CompiledProgram:
         #: The static indices a block records into a trace, at each leader
         #: (None elsewhere, and for a block ending in a branch to its own
         #: fall-through: its taken twin is only told apart per op).
-        self.block_spans = block_spans
+        self.block_spans = block_spans(decoded, ranges)
+        #: Entries into each cold block so far, at its leader.
+        self.entries = [0] * n
+        self._decoded = decoded
+        self._emit = emit
+        self._namespace = base_namespace(program)
+        self._tag = tag
+
+    def enter(self, start, threshold):
+        """Count one entry into the cold block at ``start``.
+
+        Returns the block's function, compiling it, once the count reaches
+        ``threshold``; None before that.
+        """
+        count = self.entries[start] + 1
+        self.entries[start] = count
+        if count < threshold:
+            return None
+        w = SourceWriter()
+        self._emit(w, self._decoded, start, start + self.block_lens[start])
+        namespace = compile_namespace(w.text(), self._namespace, self._tag)
+        fn = namespace[f"_b{start}"]
+        self.block_funcs[start] = fn
+        return fn
 
 
 def block_spans(decoded, ranges):
@@ -163,7 +201,7 @@ def base_namespace(program):
 
 
 def compile_namespace(source, namespace, tag):
-    """``exec`` one generated module; returns the populated namespace."""
+    """``exec`` generated source into ``namespace``; returns the namespace."""
     code = compile(source, f"<fastpath:{tag}>", "exec")
     exec(code, namespace)  # noqa: S102 - our own generated source
     return namespace

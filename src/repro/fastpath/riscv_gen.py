@@ -25,11 +25,7 @@ from repro.fastpath.blocks import partition
 from repro.fastpath.codegen import (
     MASK,
     CompiledProgram,
-    SourceWriter,
-    base_namespace,
     binop_expr,
-    block_spans,
-    compile_namespace,
     control_descriptors,
     emit_record_address,
     icmp_cond,
@@ -226,24 +222,11 @@ def _emit_block(w, decoded, start, end):
     w.line()
 
 
-def compile_program(program):
-    """Compile ``program`` into a :class:`CompiledProgram` (one exec)."""
+def prepare(program):
+    """The :class:`CompiledProgram` tables of ``program``; no block compiled."""
     decoded = decode_program(program)
-    n = len(decoded)
-    ranges = partition(decoded, TERMINATORS)
-    w = SourceWriter()
-    for start, end in ranges:
-        _emit_block(w, decoded, start, end)
-    namespace = base_namespace(program)
-    compile_namespace(w.text(), namespace, f"riscv:{program.text_base:#x}")
-    block_funcs = [None] * n
-    block_lens = [0] * n
-    for start, end in ranges:
-        block_funcs[start] = namespace[f"_b{start}"]
-        block_lens[start] = end - start
-    term_at = control_descriptors(decoded, call_return)
     return CompiledProgram(
-        n, block_funcs, block_lens,
-        min_mrp=0, block_ranges=tuple(ranges), term_at=term_at,
-        block_spans=block_spans(decoded, ranges),
+        program, decoded, partition(decoded, TERMINATORS), _emit_block,
+        f"riscv:{program.text_base:#x}",
+        control_descriptors(decoded, call_return),
     )

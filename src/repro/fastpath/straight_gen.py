@@ -1,10 +1,10 @@
 """STRAIGHT block compiler: DecodedOp arrays -> specialized Python closures.
 
-Generates, per linked STRAIGHT binary, one module of Python source holding
-one ``_b{start}(it, ma=None)`` function per basic block, executing the
-whole block (the run / fast-forward hot path); a trace-collecting run
-passes ``ma``, which receives every load/store address in order.  Single
-instructions (``step()``, landings inside a block) run through the
+Generates, per hot basic block of a linked STRAIGHT binary, the Python
+source of one ``_b{start}(it, ma=None)`` function executing the whole block
+(the run / fast-forward hot path); a trace-collecting run passes ``ma``,
+which receives every load/store address in order.  Single instructions
+(``step()``, landings inside a block, cold blocks) run through the
 interpreter's own ``step_op``.
 
 The generated code preserves the baseline interpreter's semantics exactly:
@@ -28,19 +28,16 @@ block-ending BEZ/BNZ exports its raw boolean, so the branch tests one
 native condition instead of re-comparing an int.  Forwarding a distance
 ``d`` is only architecturally transparent while ``max_rp >= d`` (no later
 op can alias the producer's register inside the window); the largest
-forwarded distance is recorded as :attr:`CompiledProgram.min_mrp` and
-interpreters with a smaller circular file decline the fast path.
+forwarded distance, found by a static scan before any block is generated
+(:func:`forward_reach`), is recorded as :attr:`CompiledProgram.min_mrp`
+and interpreters with a smaller circular file decline the fast path.
 """
 
 from repro.fastpath.blocks import partition
 from repro.fastpath.codegen import (
     MASK,
     CompiledProgram,
-    SourceWriter,
-    base_namespace,
     binop_expr,
-    block_spans,
-    compile_namespace,
     control_descriptors,
     emit_record_address,
     icmp_cond,
@@ -292,27 +289,32 @@ def _emit_block(w, decoded, start, end):
     return state.max_forward
 
 
-def compile_program(program):
-    """Compile ``program`` into a :class:`CompiledProgram` (one exec)."""
+def forward_reach(decoded, ranges):
+    """The largest distance any block forwards through a local.
+
+    A static scan: the largest source distance ``d`` with ``0 < d <= k``
+    at block offset ``k``, which is exactly the ``max_forward`` that
+    :func:`_emit_block` reports for the block.  So ``min_mrp`` is known
+    before any block is generated.
+    """
+    reach = 0
+    for start, end in ranges:
+        for k in range(1, end - start):
+            for distance in decoded[start + k].srcs:
+                if reach < distance <= k:
+                    reach = distance
+    return reach
+
+
+def prepare(program):
+    """The :class:`CompiledProgram` tables of ``program``; no block compiled."""
     decoded = decode_program(program)
-    n = len(decoded)
     ranges = partition(decoded, TERMINATORS)
-    w = SourceWriter()
-    min_mrp = 0
-    for start, end in ranges:
-        min_mrp = max(min_mrp, _emit_block(w, decoded, start, end))
-    namespace = base_namespace(program)
-    compile_namespace(w.text(), namespace, f"straight:{program.text_base:#x}")
-    block_funcs = [None] * n
-    block_lens = [0] * n
-    for start, end in ranges:
-        block_funcs[start] = namespace[f"_b{start}"]
-        block_lens[start] = end - start
     term_at = control_descriptors(
         decoded, lambda op: (op.kind == K_CALL, op.kind == K_RET)
     )
     return CompiledProgram(
-        n, block_funcs, block_lens,
-        min_mrp=min_mrp, block_ranges=tuple(ranges), term_at=term_at,
-        block_spans=block_spans(decoded, ranges),
+        program, decoded, ranges, _emit_block,
+        f"straight:{program.text_base:#x}", term_at,
+        min_mrp=forward_reach(decoded, ranges),
     )

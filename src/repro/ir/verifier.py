@@ -6,7 +6,9 @@ Run after construction and between passes (the pass manager calls it when
 * every block ends in exactly one terminator, and only at the end;
 * phis appear only at block heads and cover each predecessor exactly once;
 * every instruction operand is a constant, argument, global, or an
-  instruction that *dominates* the use (the SSA dominance property);
+  instruction that *dominates* the use (the SSA dominance property),
+  checked against a dominator tree that is rebuilt only when the
+  function's CFG changed shape;
 * branch targets belong to the same function.
 """
 
@@ -77,8 +79,25 @@ def _check_phi_shape(func):
                 seen_non_phi = True
 
 
-def _check_ssa_dominance(func):
+def _dominator_tree(func):
+    """``func``'s dominator tree, reused while its CFG keeps its shape.
+
+    The tree is cached on the function, keyed on every block in order with
+    the tuple of its successors (the first block is the entry).  The key is
+    recomputed on every verify, so no pass has to report an edit, and any
+    block or edge edit rebuilds the tree.
+    """
+    shape = tuple((block, tuple(block.successors())) for block in func.blocks)
+    cached = getattr(func, "_verifier_domtree", None)
+    if cached is not None and cached[0] == shape:
+        return cached[1]
     domtree = DominatorTree(func)
+    func._verifier_domtree = (shape, domtree)
+    return domtree
+
+
+def _check_ssa_dominance(func):
+    domtree = _dominator_tree(func)
     positions = {}
     for block in func.blocks:
         for idx, instr in enumerate(block.instructions):

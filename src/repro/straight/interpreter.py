@@ -99,13 +99,19 @@ class StraightInterpreter:
         # source-distance distribution).
         self.mnemonic_counts = {}
         self.distance_hist = {}
-        #: Threaded-code fast path (None: baseline step_op loop).  The
+        #: Threaded-code fast path (None: baseline step_op loop) and the
+        #: entry count at which one of its cold blocks compiles.  The
         #: ``compiled`` argument overrides the ``STRAIGHT_FASTPATH`` global
-        #: toggle per instance; the circular file must also be at least
-        #: ``min_mrp`` registers for the compiled intra-block forwarding to
-        #: be architecturally transparent.  Block functions record no
-        #: results, so a trace that keeps them takes the baseline loop.
+        #: toggle per instance: ``True`` compiles every block at its first
+        #: entry, ``None`` compiles a block once it is hot
+        #: (:data:`repro.fastpath.HOT_THRESHOLD` entries, counted over every
+        #: run of the binary), ``False`` takes the baseline loop.  The
+        #: circular file must also be at least ``min_mrp`` registers for the
+        #: compiled intra-block forwarding to be architecturally
+        #: transparent.  Block functions record no results, so a trace that
+        #: keeps them takes the baseline loop.
         self._fast = None
+        self._hot_threshold = 1 if compiled else fastpath.HOT_THRESHOLD
         use_fast = fastpath.enabled() if compiled is None else compiled
         if use_fast and not trace_values:
             fast = fastpath.compiled_for(program, "straight")

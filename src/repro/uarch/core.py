@@ -1,7 +1,10 @@
 """The shared out-of-order timing core (trace-driven, component-based).
 
 Models, per cycle: fetch with branch/target/return prediction and I-cache
-stalls; a fixed-depth front-end pipe; dispatch with ROB/IQ/LSQ/rename
+stalls; a fixed-depth front-end pipe whose capacity is unbounded (fetch
+keeps filling it while dispatch waits on a full ROB, so fetch can run
+thousands of instructions ahead and an I-cache miss then stalls only
+fetch, not dispatch: DESIGN.md §7); dispatch with ROB/IQ/LSQ/rename
 structural stalls; wakeup-select issue with per-class ports; load-store
 queue with store-to-load forwarding, memory-dependence prediction and
 violation replays; data-cache hierarchy with a stream prefetcher; in-order

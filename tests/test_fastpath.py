@@ -8,6 +8,8 @@ parity the sampled simulator depends on.
 """
 
 import ast
+import sys
+import threading
 
 import pytest
 
@@ -19,7 +21,7 @@ from repro.fastpath import codegen, riscv_gen, straight_gen
 from repro.guardrails import LockstepMonitor
 from repro.harness.sampling import SampledRunner, SamplingParams, _PredictorWarmer
 from repro.uarch.core import OoOCore
-from repro.workloads.common import build_workload
+from repro.workloads.common import build_workload, get_workload
 
 #: Branchy program: calls, returns, loops, a divide (uncompiled fallback op),
 #: and data-dependent branches so the predictor warming paths get exercised.
@@ -158,24 +160,163 @@ class TestPlumbing:
 class TestGeneratedModule:
     @pytest.mark.parametrize("workload", ["dhrystone", "coremark"])
     def test_one_function_per_basic_block(self, workload, monkeypatch):
-        # Single instructions run through step_op, so a binary's generated
-        # module holds its block functions and nothing else.
+        # A block compiles on its own: each compiled leader holds one
+        # function, generated from _emit_block's source for that block.
         sources = []
+        compile_namespace = codegen.compile_namespace
 
         def capture(source, namespace, tag):
             sources.append(source)
-            return codegen.compile_namespace(source, namespace, tag)
+            return compile_namespace(source, namespace, tag)
 
-        for generator in (straight_gen, riscv_gen):
-            monkeypatch.setattr(generator, "compile_namespace", capture)
+        monkeypatch.setattr(codegen, "compile_namespace", capture)
         for label, binary in build_workload(workload).all().items():
             generator = straight_gen if binary.isa == "straight" else riscv_gen
-            sources.clear()
-            compiled = generator.compile_program(binary.program)
-            assert len(sources) == 1, label
-            defs = [node for node in ast.walk(ast.parse(sources[0]))
-                    if isinstance(node, ast.FunctionDef)]
-            assert len(defs) == len(compiled.block_ranges), label
+            decoded = generator.decode_program(binary.program)
+            fast = generator.prepare(binary.program)
+            leaders = [i for i, n in enumerate(fast.block_lens) if n]
+            assert fast.block_funcs == [None] * fast.n, label
+            for start in leaders:
+                sources.clear()
+                fn = fast.enter(start, 1)
+                w = codegen.SourceWriter()
+                generator._emit_block(w, decoded, start,
+                                      start + fast.block_lens[start])
+                assert sources == [w.text()], (label, start)
+                defs = [node.name for node in ast.walk(ast.parse(sources[0]))
+                        if isinstance(node, ast.FunctionDef)]
+                assert defs == [f"_b{start}"], (label, start)
+                assert fn is fast.block_funcs[start], (label, start)
+                assert fn.__name__ == f"_b{start}", (label, start)
+            compiled = [i for i, fn in enumerate(fast.block_funcs)
+                        if fn is not None]
+            assert compiled == leaders, label
+
+    @pytest.mark.parametrize("workload", ["dhrystone", "coremark"])
+    def test_static_min_mrp_is_the_largest_forward(self, workload):
+        # min_mrp comes from a static scan before any block is generated; it
+        # must equal the largest forwarded distance the emitter reports.
+        for label, binary in build_workload(workload).all().items():
+            if binary.isa != "straight":
+                continue
+            decoded = straight_gen.decode_program(binary.program)
+            fast = straight_gen.prepare(binary.program)
+            forwards = [
+                straight_gen._emit_block(codegen.SourceWriter(), decoded,
+                                         start, start + length)
+                for start, length in enumerate(fast.block_lens) if length
+            ]
+            assert fast.min_mrp == max(forwards), label
+            assert fast.min_mrp > 0, label
+
+
+#: Cut points for the tiering differential: early, mid-run, and past the end.
+TIERING_CUTS = (97, 1000, 50_000_000)
+
+
+def _tiering_run(binary, compiled, mode, max_steps):
+    """Everything one run shows: steps, architectural state, the statistics
+    dicts in their insertion order, the trace and the warming callbacks.
+
+    ``mode`` is ``run`` (trace-less ``run()``), ``trace`` (trace-collecting
+    ``run()``) or ``warming`` (:func:`repro.fastpath.run_compiled_warming`;
+    an uncompiled interpreter single-steps and reports the same transfers).
+    """
+    interp = binary.interpreter(collect_trace=mode == "trace",
+                                compiled=compiled)
+    notes = []
+    if mode != "warming":
+        steps = interp.run(max_steps).steps
+    elif compiled is False:
+        term_at = fastpath.compiled_for(binary.program, binary.isa).term_at
+        steps = 0
+        while not interp.halted and steps < max_steps:
+            index = interp.pc_index
+            interp.step_op(interp.decoded[index])
+            steps += 1
+            if term_at[index] is not None:
+                notes.append((term_at[index], interp.pc_index))
+    else:
+        steps = fastpath.run_compiled_warming(
+            interp, max_steps, lambda term, nxt: notes.append((term, nxt)))
+    return {
+        "steps": steps,
+        "state": interp.checkpoint(),
+        "mnemonic_counts": list(interp.mnemonic_counts.items()),
+        "distance_hist": list(getattr(interp, "distance_hist", {}).items()),
+        "idx": list(interp.trace.idx),
+        "mem": list(interp.trace.mem),
+        "notes": notes,
+    }
+
+
+def _compiled_leaders(binary):
+    fast = fastpath.compiled_for(binary.program, binary.isa)
+    return {i for i, fn in enumerate(fast.block_funcs) if fn is not None}
+
+
+class TestTiering:
+    """The default policy compiles a block once its entry count, shared by
+    every run over the binary, reaches ``HOT_THRESHOLD``: often in the middle
+    of a run.  Every run, cold, mixed or hot, must match the baseline."""
+
+    @pytest.mark.parametrize("mode", ["run", "trace", "warming"])
+    def test_mid_run_compiles_match_baseline(self, mode):
+        source = get_workload("dhrystone").source(1)
+        for max_steps in TIERING_CUTS:
+            # A fresh build: entry counts start at zero.
+            for label, binary in build(source).all().items():
+                expected = _tiering_run(binary, False, mode, max_steps)
+                entry = binary.interpreter(compiled=False).pc_index
+                mid_run = 0
+                for _ in range(fastpath.HOT_THRESHOLD + 1):
+                    before = _compiled_leaders(binary)
+                    observed = _tiering_run(binary, None, mode, max_steps)
+                    assert observed == expected, (label, mode, max_steps)
+                    if _compiled_leaders(binary) - before - {entry}:
+                        mid_run += 1
+                assert mid_run, (label, mode, max_steps)
+
+    def test_concurrent_runs_share_counts_safely(self):
+        # Serve batch threads may run one binary at once.  Racing entry
+        # counts only delay a compile, and a block compiled twice installs an
+        # equivalent function: every run stays bit-identical to the baseline.
+        binary = build(get_workload("dhrystone").source(1)).all()["STRAIGHT-RE+"]
+        expected = _tiering_run(binary, False, "run", 50_000_000)
+        mismatches = []
+
+        def worker():
+            for _ in range(fastpath.HOT_THRESHOLD // 4 + 2):
+                if _tiering_run(binary, None, "run", 50_000_000) != expected:
+                    mismatches.append(threading.get_ident())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches
+        fast = fastpath.compiled_for(binary.program, binary.isa)
+        compiled = _compiled_leaders(binary)
+        assert compiled
+        for start in compiled:
+            assert fast.block_funcs[start].__name__ == f"_b{start}"
+
+    def test_default_policy_compiles_nothing_until_hot(self):
+        binary = build(SOURCE).all()["STRAIGHT-RE+"]
+        interp = binary.interpreter()
+        assert interp._fast is not None
+        assert interp._hot_threshold == fastpath.HOT_THRESHOLD
+        assert binary.interpreter(compiled=True)._hot_threshold == 1
+        assert not _compiled_leaders(binary)
+        interp.run(1)
+        assert not _compiled_leaders(binary)
 
 
 class TestControlDescriptors:

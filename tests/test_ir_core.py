@@ -3,6 +3,8 @@
 import pytest
 
 from repro.common.errors import IRError
+from repro.ir import verifier
+from repro.ir.analysis.dominance import DominatorTree
 from repro.ir import (
     Module,
     IRBuilder,
@@ -12,7 +14,7 @@ from repro.ir import (
     BINOP_OPCODES,
     ICMP_PREDICATES,
 )
-from repro.ir.instructions import Phi, Br, Ret
+from repro.ir.instructions import BinOp, Phi, Br, Ret
 
 
 def build_linear_function():
@@ -189,3 +191,68 @@ class TestVerifier:
         entry.append(Ret(ConstantInt(0)))
         with pytest.raises(IRError, match="not at"):
             verify_function(func)
+
+
+def build_side_entry():
+    """entry -> (left|right), right -> left, left -> merge; merge uses
+    ``left``'s value, which ``left`` dominates until an edge bypasses it."""
+    module = Module("m")
+    func = module.add_function("f", ["c"])
+    entry = func.add_block("entry")
+    left = func.add_block("left")
+    right = func.add_block("right")
+    merge = func.add_block("merge")
+    builder = IRBuilder()
+    builder.set_insert_point(entry)
+    builder.cond_br(func.params[0], left, right)
+    builder.set_insert_point(left)
+    value = builder.add(ConstantInt(1), ConstantInt(2))
+    builder.br(merge)
+    builder.set_insert_point(right)
+    builder.br(left)
+    builder.set_insert_point(merge)
+    builder.ret(value)
+    return func, (entry, left, right, merge), value
+
+
+class TestVerifierDominatorCache:
+    """The verifier reuses a function's dominator tree while its CFG keeps
+    its shape (every block with its successors), and rebuilds it after any
+    edge edit."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+
+        class CountingTree(DominatorTree):
+            def __init__(self, func):
+                built.append(func)
+                super().__init__(func)
+
+        monkeypatch.setattr(verifier, "DominatorTree", CountingTree)
+        return built
+
+    def test_retargeted_branch_is_checked_against_a_new_tree(self, builds):
+        func, (_, left, right, merge), _ = build_side_entry()
+        verify_function(func)
+        # The same number of blocks and edges, but merge is now reachable
+        # around left: left's value no longer dominates its use.
+        right.terminator().replace_successor(left, merge)
+        with pytest.raises(IRError, match="not dominated"):
+            verify_function(func)
+        assert len(builds) == 2
+
+    def test_non_terminator_edits_reuse_the_tree(self, builds):
+        func, (_, left, _, merge), value = build_side_entry()
+        verify_function(func)
+        assert len(builds) == 1
+        doubled = left.insert(len(left.instructions) - 1,
+                              BinOp("add", value, value))
+        doubled.name = "doubled"
+        merge.terminator().operands[0] = doubled
+        value.name = "renamed"
+        verify_function(func)
+        assert len(builds) == 1
+        func.add_block("spare").append(Ret(ConstantInt(0)))
+        verify_function(func)
+        assert len(builds) == 2

@@ -91,6 +91,11 @@ class TestRun:
             outputs.add(out)
         assert len(outputs) == 1
 
+    def test_run_compiled_flags_exclude_each_other(self, demo_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", demo_file, "--compiled", "--no-compiled"])
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_run_sampled_emits_stats_json(self, demo_file, capsys):
         code, out, _ = run_cli(
             ["run", demo_file, "--sampled", "--core", "SS-2way",
