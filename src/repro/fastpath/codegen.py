@@ -83,6 +83,12 @@ class CompiledProgram:
         self._namespace = base_namespace(program)
         self._tag = tag
 
+    def __reduce__(self):
+        """Pickle as ``None``: hot blocks are ``exec``'d functions, which
+        cannot be pickled, so a program loaded from the artifact cache
+        rebuilds its fast path in :func:`repro.fastpath.compiled_for`."""
+        return type(None), ()
+
     def enter(self, start, threshold):
         """Count one entry into the cold block at ``start``.
 

@@ -11,9 +11,10 @@ Each checker enforces one structural property STRAIGHT's correctness argument
 * :class:`FreelistChecker` — SS free-list conservation: free + in-flight
   destinations always equals the physical registers not pinned by the RMT;
 * :class:`OccupancyChecker` — ROB/IQ/LSQ occupancy stays within configured
-  capacity and the ROB's seq index stays consistent with its entries;
-* :class:`CommitSanityChecker` — an instruction only commits after its
-  completion event fired (catches corrupted ``done`` flags);
+  capacity and each in-flight ROB slot holds its own position;
+* :class:`CommitSanityChecker` — only the oldest in-flight position
+  commits, and only after its completion event fired (catches corrupted
+  ``seq`` and ``done`` fields);
 * :class:`PredictorStateChecker` — branch-predictor SRAM contents stay within
   their encodable ranges (2-bit/3-bit counters, bounded history);
 * :class:`Watchdog` — forward progress: some instruction must commit every N
@@ -123,7 +124,7 @@ class FreelistChecker(InvariantChecker):
 
 
 class OccupancyChecker(InvariantChecker):
-    """ROB/IQ/LSQ occupancy bounds plus ROB index consistency."""
+    """ROB/IQ/LSQ occupancy bounds plus ROB slot positions."""
 
     name = "occupancy"
 
@@ -132,8 +133,9 @@ class OccupancyChecker(InvariantChecker):
 
     def on_cycle(self, view):
         cfg = view.config
-        if len(view.rob) > cfg.rob_entries:
-            self._fail(view, f"ROB occupancy {len(view.rob)} > {cfg.rob_entries}")
+        if view.rob_occupancy > cfg.rob_entries:
+            self._fail(view, f"ROB occupancy {view.rob_occupancy} > "
+                             f"{cfg.rob_entries}")
         if not 0 <= view.iq_count <= cfg.iq_entries:
             self._fail(view, f"IQ occupancy {view.iq_count} out of "
                              f"[0, {cfg.iq_entries}]")
@@ -142,22 +144,14 @@ class OccupancyChecker(InvariantChecker):
             self._fail(view, f"LQ occupancy {len(lsq.loads)} > {lsq.load_entries}")
         if len(lsq.stores) > lsq.store_entries:
             self._fail(view, f"SQ occupancy {len(lsq.stores)} > {lsq.store_entries}")
-        if len(view.rob_by_seq) != len(view.rob):
-            self._fail(view, f"ROB index holds {len(view.rob_by_seq)} entries "
-                             f"for a {len(view.rob)}-entry ROB")
         if view.cycle % self.deep_interval == 0:
             self._deep_scan(view)
 
     def _deep_scan(self, view):
-        previous = -1
-        for rob_entry in view.rob:
-            if view.rob_by_seq.get(rob_entry.seq) is not rob_entry:
-                self._fail(view, f"ROB index inconsistent for seq "
+        for position, rob_entry in enumerate(view.rob, view.committed):
+            if rob_entry.seq != position:
+                self._fail(view, f"ROB slot of position #{position} holds "
                                  f"#{rob_entry.seq}")
-            if rob_entry.seq <= previous:
-                self._fail(view, f"ROB order corrupted: #{rob_entry.seq} "
-                                 f"follows #{previous}")
-            previous = rob_entry.seq
 
     def end_run(self, view):
         self._deep_scan(view)
@@ -173,15 +167,15 @@ class OccupancyChecker(InvariantChecker):
 
 
 class CommitSanityChecker(InvariantChecker):
-    """Only completed, correctly-indexed instructions may commit."""
+    """Only the oldest in-flight position may commit, once completed."""
 
     name = "commit-sanity"
 
     def on_commit(self, view, rob_entry, cycle):
-        if view.rob_by_seq.get(rob_entry.seq) is not rob_entry:
+        if rob_entry.seq != view.committed:
             raise InvariantViolation(
-                f"committing instruction #{rob_entry.seq} is not the entry "
-                "the ROB index holds for that seq",
+                f"committing slot holds #{rob_entry.seq}, not the oldest "
+                f"in-flight position #{view.committed}",
                 cycle=cycle,
                 pc=rob_entry.entry.pc,
                 occupancy=view.occupancy(),
@@ -195,7 +189,7 @@ class CommitSanityChecker(InvariantChecker):
                 context={"checker": self.name, "seq": rob_entry.seq},
             )
         if rob_entry.entry.op_class != "nop":
-            ready = view.reg_ready.get(rob_entry.seq)
+            ready = rob_entry.ready_at
             if ready is None or ready > cycle:
                 raise InvariantViolation(
                     f"instruction #{rob_entry.seq} commits at cycle {cycle} "

@@ -12,8 +12,9 @@ the corrupted machine under full guardrails (checkers + lockstep).  Targets:
   by the commit-sanity checker);
 * ``rob_done_clear`` — clear a completed entry's done flag (the entry wedges
   at the ROB head; detected by the forward-progress watchdog);
-* ``rob_seq`` — flip a bit of an in-flight ROB entry's sequence number
-  (detected by the occupancy/commit-sanity index consistency checks);
+* ``rob_seq`` — flip a bit of an in-flight ROB slot's sequence number, so
+  the slot no longer holds its own position (detected by the occupancy
+  checker's slot-position scan or, at commit, by commit-sanity);
 * ``predictor`` — flip a stored-counter bit outside its encodable range
   (detected by the predictor state sweep).
 
@@ -192,7 +193,7 @@ class TimingFaultInjector:
             for rob_entry in view.rob:
                 if rob_entry.done:
                     continue
-                ready = view.reg_ready.get(rob_entry.seq)
+                ready = rob_entry.ready_at
                 if ready is None or ready > view.cycle + 2:
                     rob_entry.done = True
                     self._record(view, seq=rob_entry.seq)
@@ -204,8 +205,9 @@ class TimingFaultInjector:
                     self._record(view, seq=rob_entry.seq)
                     return
         elif target == "rob_seq":
-            if view.rob:
-                victim = view.rob[self.rng.randrange(len(view.rob))]
+            rob = view.rob
+            if rob:
+                victim = rob[self.rng.randrange(len(rob))]
                 victim.seq ^= 1 << (self.spec.bit % 8)
                 self._record(view, seq=victim.seq)
         elif target == "predictor":

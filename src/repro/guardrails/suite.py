@@ -9,10 +9,10 @@ bit-for-bit.  Attaching a suite also disables event-driven cycle skipping,
 so per-cycle hooks observe every cycle.
 
 The suite exposes the engine's live :class:`~repro.uarch.pipeline.PipelineState`
-to checkers through a :class:`GuardView` — shared structure references plus
-live scalars read straight off the state and scheduler — and keeps a bounded
-log of the most recently committed instructions so every raised guardrail
-error carries a replayable window of the commit stream.
+to checkers through a :class:`GuardView` — the engine's own ROB slot objects
+and LSQ plus live scalars read straight off the state and scheduler — and
+keeps a bounded log of the most recently committed instructions so every
+raised guardrail error carries a replayable window of the commit stream.
 """
 
 from collections import deque
@@ -38,21 +38,19 @@ def _entry_summary(entry):
 class GuardView:
     """Window into one running :class:`~repro.uarch.core.OoOCore` instance.
 
-    ``rob``/``rob_by_seq``/``pipe``/``reg_ready``/``lsq`` are the engine's
-    own mutable structures (shared references, never copies); ``cycle``,
-    ``committed``, ``iq_count`` and ``fetch_idx`` are properties reading the
-    live :class:`~repro.uarch.pipeline.PipelineState` and scheduler, so
-    every hook sees the current value without any per-cycle refresh.
+    ``lsq`` is the engine's own LSQ (a shared reference, never a copy).
+    ``rob`` lists the engine's own in-flight ROB slot objects, oldest
+    first, built on each access, so a write to a slot (fault injection)
+    lands in the engine.  ``cycle``, ``committed``, ``rob_occupancy``,
+    ``iq_count`` and ``fetch_idx`` are properties reading the live
+    :class:`~repro.uarch.pipeline.PipelineState` and scheduler, so every
+    hook sees the current value without any per-cycle refresh.
     """
 
     __slots__ = (
         "core",
         "config",
         "trace",
-        "rob",
-        "rob_by_seq",
-        "pipe",
-        "reg_ready",
         "lsq",
         "_state",
         "_sched",
@@ -62,13 +60,13 @@ class GuardView:
         self.core = core
         self.config = core.config
         self.trace = state.trace
-        self.rob = state.rob
-        self.rob_by_seq = state.rob_by_seq
-        self.pipe = state.pipe
-        self.reg_ready = state.reg_ready
         self.lsq = core.lsq
         self._state = state
         self._sched = sched
+
+    @property
+    def rob(self):
+        return self._state.in_flight()
 
     @property
     def cycle(self):
@@ -77,6 +75,11 @@ class GuardView:
     @property
     def committed(self):
         return self._state.committed
+
+    @property
+    def rob_occupancy(self):
+        state = self._state
+        return state.dispatched - state.committed
 
     @property
     def iq_count(self):
@@ -88,20 +91,12 @@ class GuardView:
 
     def occupancy(self):
         """Per-structure occupancy snapshot (attached to guardrail errors)."""
-        return {
-            "cycle": self.cycle,
-            "rob": len(self.rob),
-            "iq": self.iq_count,
-            "lsq_loads": len(self.lsq.loads),
-            "lsq_stores": len(self.lsq.stores),
-            "pipe": len(self.pipe),
-            "fetched": self.fetch_idx,
-            "committed": self.committed,
-        }
+        return {"cycle": self.cycle, **self._state.occupancy(self.lsq)}
 
     def head_pc(self):
         """PC of the oldest in-flight instruction, if any."""
-        return self.rob[0].entry.pc if self.rob else None
+        head = self._state.rob_head()
+        return None if head is None else head.entry.pc
 
 
 class InvariantChecker:

@@ -273,23 +273,18 @@ class _DiskCache:
         tmp = path + f".tmp.{os.getpid()}.{serial}"
         try:
             self._write(tmp, {"schema": SCHEMA_VERSION, "value": value})
-        except Exception:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            return
-        try:
             os.replace(tmp, path)  # atomic: concurrent workers can't tear it
-        except OSError:
-            # A concurrent writer won the rename race (or the slot became
-            # unwritable).  Content-addressed entries are interchangeable:
-            # second writer loses silently, the sweep never sees an error.
+        except BaseException as exc:
             try:
                 os.remove(tmp)
             except OSError:
                 pass
-            return
+            if isinstance(exc, OSError):
+                # A full disk, or a concurrent writer won the rename race.
+                # Content-addressed entries are interchangeable: the store
+                # is a silent miss, the sweep never sees an error.
+                return
+            raise  # a value that cannot be stored is the caller's bug
         self._bump("stores")
 
     def entry_paths(self):

@@ -105,18 +105,14 @@ class StallAttributionAccountant(PipelineSink):
         """The single bucket this cycle's idle slots are charged to."""
         if state.awaiting_branch is not None or cycle < state.rename_blocked_until:
             return "slots_bad_speculation"
-        rob = state.rob
-        if rob:
-            head = rob[0]
-            if not head.done:
-                if head.entry.op_class in ("load", "store"):
-                    return "slots_backend_memory"
-                return "slots_backend_core"
-            if state.iq_count > 0:
-                # Oldest work is finished but younger ready instructions
-                # still lost the port/width race.
-                return "slots_backend_core"
+        head = state.rob_head()
+        if head is not None and not head.done:
+            if head.entry.op_class in ("load", "store"):
+                return "slots_backend_memory"
+            return "slots_backend_core"
         if state.iq_count > 0:
+            # Nothing older is executing, but ready instructions still
+            # lost the port/width race.
             return "slots_backend_core"
         return "slots_frontend_latency"
 

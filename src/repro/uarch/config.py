@@ -101,8 +101,8 @@ class CoreConfig:
         #: Forward-progress watchdog: cycles without a commit before the run
         #: dies with a DeadlockError (only when guardrails are enabled).
         self.watchdog_cycles = watchdog_cycles
-        #: Cycle stride of the expensive consistency scans (ROB index walk,
-        #: free-list conservation).
+        #: Cycle stride of the expensive consistency scans (ROB slot
+        #: positions, free-list conservation).
         self.deep_check_interval = deep_check_interval
         #: Cycle stride of the predictor-storage range sweep.
         self.predictor_check_interval = predictor_check_interval

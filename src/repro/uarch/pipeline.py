@@ -7,7 +7,7 @@ pipeline-stage components that communicate through one typed
 * :class:`CompletionStage` — retires completion events, wakes issue-queue
   consumers, resolves awaited branches and charges recovery stalls;
 * :class:`CommitStage` — in-order commit at commit width, guardrail commit
-  hooks, LSQ deallocation, and pruning of per-seq bookkeeping;
+  hooks, LSQ deallocation;
 * :class:`IssueStage` — wakeup-select with per-class ports, LSQ issue
   (forwarding / memory-dependence waits / violation replays);
 * :class:`DispatchStage` — ROB/IQ/LSQ structural stalls, front-end model
@@ -55,17 +55,18 @@ from repro.uarch.lsq import LoadStoreQueue
 
 
 class _RobEntry:
-    """One ROB slot, refilled by every dispatch that lands in it.  ``entry``
-    is what guards see: the static record, or — on guarded runs — the full
+    """One ROB slot, refilled by every dispatch that lands in it.
+    ``ready_at`` is its result cycle, ``None`` until issue.  ``entry`` is
+    what guards see: the static record, or — on guarded runs — the full
     :class:`~repro.common.trace.TraceEntry`."""
 
-    __slots__ = ("seq", "entry", "done", "fetch_cycle")
+    __slots__ = ("seq", "entry", "done", "ready_at")
 
     def __init__(self):
         self.seq = -1
         self.entry = None
         self.done = False
-        self.fetch_cycle = 0
+        self.ready_at = None
 
 
 class PipelineState:
@@ -79,10 +80,15 @@ class PipelineState:
     Instructions are named by their trace position ``seq``, and ``ops``
     holds each position's static record
     (:class:`~repro.isa.timing.StaticOp`), so no stage decodes anything.
-    At most ``rob_entries`` consecutive positions are in flight, so
-    per-instruction state lives in rings indexed by ``seq & ring_mask``,
-    like the hardware's circular ROB: the ROB slot objects themselves and
-    the issue-queue wakeup counters.
+    Positions ``committed <= seq < dispatched`` are in flight, and
+    ``dispatched <= seq < fetch_idx`` wait in ``pipe``, which holds each
+    one's dispatch-ready cycle.  At most ``rob_entries`` positions are in
+    flight, so per-instruction state lives in rings indexed by
+    ``seq & ring_mask``, like the hardware's circular ROB: the ROB slots
+    and the issue-queue wakeup counters.  A retired producer's slot may
+    already hold a younger instruction, so a tag indexes the ring only once
+    ``tag >= committed``.  Other modules read the ROB through
+    :meth:`rob_head`, :meth:`in_flight` and :meth:`occupancy`.
 
     ``events`` and ``ready_buckets`` lists are only ever created for future
     cycles and are popped when the clock reaches their cycle, so their keys
@@ -98,18 +104,17 @@ class PipelineState:
         "committed",        # instructions retired so far
         "fetch_idx",        # next trace index to fetch
         "fetch_resume",     # earliest cycle fetch may proceed
+        "dispatched",       # instructions dispatched so far
         "awaiting_branch",  # seq of unresolved mispredicted branch, or None
+        "awaiting_fetch_cycle",  # cycle awaiting_branch was fetched
         "rename_blocked_until",  # dispatch blocked during recovery until here
-        "pipe",             # front-end pipe: (seq, dispatch_ready_cycle, fetch_cycle)
-        "rob",              # deque of _RobEntry, program order
-        "rob_by_seq",       # seq -> _RobEntry for in-flight instructions
+        "pipe",             # dispatch-ready cycle per fetched, undispatched seq
         "rob_slots",        # ring of reusable _RobEntry objects
         "iq_count",         # issue-queue occupancy
         "events",           # cycle -> [seq, ...] completing that cycle
         "ready_buckets",    # cycle -> [seq, ...] becoming ready
         "ready_heap",       # heap of ready seqs (oldest-first select)
         "waiting",          # producer seq -> [consumer seq, ...] blocked on it
-        "reg_ready",        # in-flight producer seq -> result-available cycle
         "iq_remaining",     # ring: unresolved producers of a waiting entry
         "iq_min_issue",     # ring: earliest issue cycle of a waiting entry
         "ring_mask",        # ring size - 1
@@ -128,19 +133,18 @@ class PipelineState:
         self.mem = trace.mem
         self.n = len(trace)
         self.committed = 0
+        self.dispatched = 0
         self.fetch_idx = 0
         self.fetch_resume = 0
         self.awaiting_branch = None
+        self.awaiting_fetch_cycle = 0
         self.rename_blocked_until = 0
         self.pipe = deque()
-        self.rob = deque()
-        self.rob_by_seq = {}
         self.iq_count = 0
         self.events = {}
         self.ready_buckets = {}
         self.ready_heap = []
         self.waiting = {}
-        self.reg_ready = {}
         ring = 1 << max(0, rob_entries - 1).bit_length()
         self.rob_slots = [_RobEntry() for _ in range(ring)]
         self.iq_remaining = [0] * ring
@@ -151,15 +155,26 @@ class PipelineState:
         self.last_fetch_line = -1
         self.line_shift = line_shift
 
-    def occupancy(self, lsq, fetched=None):
+    def rob_head(self):
+        """The oldest in-flight ROB slot, or ``None`` when the ROB is empty."""
+        if self.committed < self.dispatched:
+            return self.rob_slots[self.committed & self.ring_mask]
+        return None
+
+    def in_flight(self):
+        """The in-flight ROB slots, oldest first, as a new list."""
+        return [self.rob_slots[seq & self.ring_mask]
+                for seq in range(self.committed, self.dispatched)]
+
+    def occupancy(self, lsq):
         """Per-structure occupancy snapshot (error payloads, guard views)."""
         return {
-            "rob": len(self.rob),
+            "rob": self.dispatched - self.committed,
             "iq": self.iq_count,
             "lsq_loads": len(lsq.loads),
             "lsq_stores": len(lsq.stores),
             "pipe": len(self.pipe),
-            "fetched": self.fetch_idx if fetched is None else fetched,
+            "fetched": self.fetch_idx,
             "committed": self.committed,
         }
 
@@ -215,7 +230,8 @@ class CompletionStage(PipelineStage):
         if not seqs:
             return
         waiting = state.waiting
-        rob_by_seq = state.rob_by_seq
+        rob_slots = state.rob_slots
+        committed = state.committed
         ready_buckets = state.ready_buckets
         remaining = state.iq_remaining
         min_issue = state.iq_min_issue
@@ -223,9 +239,10 @@ class CompletionStage(PipelineStage):
         obs = self.obs
         wakeups = 0
         for seq in seqs:
-            rob_entry = rob_by_seq.get(seq)
-            if rob_entry is not None:
-                rob_entry.done = True
+            # Only a fault can commit a seq before its completion event;
+            # its slot may hold a younger instruction by now.
+            if seq >= committed:
+                rob_slots[seq & mask].done = True
             if obs is not None:
                 obs.on_complete(seq, cycle)
             consumers = waiting.pop(seq, None)
@@ -256,9 +273,9 @@ class CompletionStage(PipelineStage):
         state = self.state
         state.awaiting_branch = None
         state.fetch_resume = cycle + 1
-        rob_free = self.cfg.rob_entries - len(state.rob)
+        rob_free = self.cfg.rob_entries - (state.dispatched - state.committed)
         blocked = self.core.frontend.recovery_block_until(
-            cycle, state.rob_by_seq[seq].fetch_cycle, rob_free
+            cycle, state.awaiting_fetch_cycle, rob_free
         )
         if blocked > state.rename_blocked_until:
             state.rename_blocked_until = blocked
@@ -271,36 +288,31 @@ class CompletionStage(PipelineStage):
 
 
 class CommitStage(PipelineStage):
-    """In-order commit at commit width, plus per-seq bookkeeping pruning."""
+    """In-order commit at commit width."""
 
     name = "commit"
 
     def tick(self):
         state = self.state
-        rob = state.rob
-        if not rob or not rob[0].done:
-            return
         cycle = self.sched.cycle
         guard = self.guard
         obs = self.obs
         lsq = self.core.lsq
         ops = state.ops
-        rob_by_seq = state.rob_by_seq
-        reg_ready = state.reg_ready
-        slots = self.cfg.commit_width
+        rob_slots = state.rob_slots
+        mask = state.ring_mask
+        first = state.committed
         freed = 0
-        while rob and slots > 0:
-            head = rob[0]
+        for seq in range(first, min(state.dispatched,
+                                    first + self.cfg.commit_width)):
+            head = rob_slots[seq & mask]
             if not head.done:
                 break
-            seq = head.seq
             op = ops[seq]
             if guard is not None:
                 guard.on_commit(head, cycle)
             if obs is not None:
                 obs.on_commit(seq, op, cycle)
-            rob.popleft()
-            del rob_by_seq[seq]
             if op.dest is not None:
                 freed += 1
             if op.is_mem:
@@ -308,21 +320,13 @@ class CommitStage(PipelineStage):
                     lsq.commit_load(seq)
                 else:
                     lsq.commit_store(seq)
-            # Retired instructions need no further wakeup bookkeeping: a
-            # consumer dispatched after this point finds the seq absent from
-            # both maps and treats the operand as ready, which is exactly
-            # what the result-available cycle would have said (completion
-            # always precedes commit).  Without this pruning the dict grew
-            # O(trace) on long runs.
-            reg_ready.pop(seq, None)
-            state.committed += 1
-            slots -= 1
+            state.committed = seq + 1
         if freed:
             self.core.frontend.on_commit(freed)
 
     def can_tick(self):
-        rob = self.state.rob
-        return bool(rob) and rob[0].done
+        head = self.state.rob_head()
+        return head is not None and head.done
 
 
 class IssueStage(PipelineStage):
@@ -358,7 +362,9 @@ class IssueStage(PipelineStage):
         if not ready_heap:
             return
         ops = state.ops
-        reg_ready = state.reg_ready
+        rob_slots = state.rob_slots
+        mask = state.ring_mask
+        committed = state.committed
         events = state.events
         latency = self.latency
         scarce = self.scarce
@@ -388,7 +394,8 @@ class IssueStage(PipelineStage):
                 free[port] -= 1
             issued += 1
             done_at = cycle + lat
-            reg_ready[seq] = done_at
+            if seq >= committed:  # else a fault committed it unissued
+                rob_slots[seq & mask].ready_at = done_at
             completing = events.get(done_at)
             if completing is None:
                 events[done_at] = [seq]
@@ -474,33 +481,28 @@ class DispatchStage(PipelineStage):
         if cycle < state.rename_blocked_until:
             return
         pipe = state.pipe
-        if not pipe or pipe[0][1] > cycle:
+        if not pipe or pipe[0] > cycle:
             return
         cfg = self.cfg
         guard = self.guard
         obs = self.obs
         ops = state.ops
-        rob = state.rob
-        rob_by_seq = state.rob_by_seq
         rob_slots = state.rob_slots
         mask = state.ring_mask
         rename = self.core.frontend.rename
-        reg_ready = state.reg_ready
         ready_heap = state.ready_heap
-        rob_entries = cfg.rob_entries
+        committed = state.committed
+        rob_end = committed + cfg.rob_entries
         iq_entries = cfg.iq_entries
         iq_count = state.iq_count
         next_cycle = cycle + 1
-        waiting_in_pipe = len(pipe)
+        first = state.dispatched
         spadds = 0
-        for _ in range(cfg.fetch_width):
-            if not pipe:
-                break
-            seq, ready_at, fetch_cycle = pipe[0]
-            if ready_at > cycle:
+        for seq in range(first, first + cfg.fetch_width):
+            if not pipe or pipe[0] > cycle:
                 break
             op = ops[seq]
-            if len(rob) >= rob_entries:
+            if seq >= rob_end:
                 self.stats.rob_full_stalls += 1
                 break
             is_nop = op.cls == C_NOP
@@ -513,14 +515,13 @@ class DispatchStage(PipelineStage):
             if tags is None:
                 break  # the front-end model refused (its stall is counted)
             pipe.popleft()
+            state.dispatched = seq + 1
             if op.is_spadd:
                 spadds += 1
             rob_entry = rob_slots[seq & mask]
             rob_entry.seq = seq
             rob_entry.done = is_nop
-            rob_entry.fetch_cycle = fetch_cycle
-            rob.append(rob_entry)
-            rob_by_seq[seq] = rob_entry
+            rob_entry.ready_at = None
             if guard is None:
                 rob_entry.entry = op
             else:
@@ -534,16 +535,18 @@ class DispatchStage(PipelineStage):
             if op.is_mem:
                 self._enter_lsq(seq, op)
             iq_count += 1
-            # A None tag is a source register no in-flight producer writes.
             issue_at = next_cycle
             unresolved = 0
             for tag in tags:
-                ready = reg_ready.get(tag)
+                # A None tag is a source register no in-flight producer
+                # writes; a tag below ``committed`` has retired.  Either
+                # way the operand is ready.
+                if tag is None or tag < committed:
+                    continue
+                ready = rob_slots[tag & mask].ready_at
                 if ready is None:
-                    if tag in rob_by_seq:
-                        state.waiting.setdefault(tag, []).append(seq)
-                        unresolved += 1
-                    # else: producer long retired; operand ready
+                    state.waiting.setdefault(tag, []).append(seq)
+                    unresolved += 1
                 elif ready > issue_at:
                     issue_at = ready
             if unresolved:
@@ -560,7 +563,7 @@ class DispatchStage(PipelineStage):
                 else:
                     bucket.append(seq)
         state.iq_count = iq_count
-        dispatched = waiting_in_pipe - len(pipe)
+        dispatched = state.dispatched - first
         if dispatched:
             self.stats.rob_writes += dispatched
 
@@ -591,13 +594,13 @@ class DispatchStage(PipelineStage):
         if cycle < state.rename_blocked_until:
             return False
         pipe = state.pipe
-        return bool(pipe) and pipe[0][1] <= cycle
+        return bool(pipe) and pipe[0] <= cycle
 
     def next_wake(self):
         state = self.state
         if not state.pipe:
             return None
-        ready_at = state.pipe[0][1]
+        ready_at = state.pipe[0]
         blocked_until = state.rename_blocked_until
         return ready_at if ready_at > blocked_until else blocked_until
 
@@ -641,7 +644,7 @@ class FetchStage(PipelineStage):
                 last_line = line
                 if self._icache_miss(op.pc, cycle):
                     break
-            pipe.append((seq, dispatch_at, cycle))
+            pipe.append(dispatch_at)
             fetch_idx = seq + 1
             if obs is not None:
                 obs.on_fetch(seq, op, cycle)
@@ -651,6 +654,7 @@ class FetchStage(PipelineStage):
                 )
                 if mispredicted:
                     state.awaiting_branch = seq
+                    state.awaiting_fetch_cycle = cycle
                     if obs is not None:
                         obs.on_mispredict(seq, op, cycle)
                     break
@@ -802,7 +806,8 @@ class TimingEngine:
         ready_buckets = state.ready_buckets
         ready_heap = state.ready_heap
         pipe = state.pipe
-        rob = state.rob
+        rob_slots = state.rob_slots
+        mask = state.ring_mask
         idle_skip = self.idle_skip
         while state.committed < n:
             # The cheap pre-filter first: a non-empty ready heap or front-end
@@ -829,11 +834,12 @@ class TimingEngine:
             cycle = sched.cycle
             if cycle in events:
                 complete_tick()
-            if rob and rob[0].done:
+            oldest = state.committed
+            if oldest < state.dispatched and rob_slots[oldest & mask].done:
                 commit_tick()
             if ready_heap or cycle in ready_buckets:
                 issue_tick()
-            if (pipe and pipe[0][1] <= cycle
+            if (pipe and pipe[0] <= cycle
                     and cycle >= state.rename_blocked_until):
                 dispatch_tick()
             if (state.awaiting_branch is None

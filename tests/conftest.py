@@ -47,18 +47,31 @@ def small_build():
     return build(SMALL_PROGRAM)
 
 
-def compile_and_run_both(source, max_steps=2_000_000, max_distance=1023):
+def compile_and_run_both(source, max_steps=2_000_000, max_distance=1023,
+                         guarded_timing=False):
     """Helper: build every registered ISA's binaries, run functionally,
-    assert all outputs agree.
+    assert all outputs agree.  With ``guarded_timing``, each registered
+    ISA's default binary must also finish a guarded timing run (invariant
+    checkers plus lockstep) on its 2-way and 4-way cores.
 
     Returns the common output list.
     """
     from repro.core.api import run_functional
 
     result = build(source, max_distance=max_distance)
+    binaries = result.all()
     outputs = {}
-    for label, binary in result.all().items():
+    for label, binary in binaries.items():
         outputs[label] = run_functional(binary, max_steps=max_steps).output
     reference = outputs["SS"]
     assert all(out == reference for out in outputs.values()), outputs
+    if guarded_timing:
+        from repro import isa as isa_registry
+        from repro.core.api import simulate
+
+        for descriptor in isa_registry.descriptors():
+            binary = binaries[descriptor.default_label]
+            for way in ("2way", "4way"):
+                simulate(binary, descriptor.config_factories[way](),
+                         max_steps=max_steps, guardrails=True)
     return reference

@@ -11,6 +11,7 @@ import os
 import pickle
 import random
 import tempfile
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -297,6 +298,27 @@ class TestConcurrentWriters:
         assert layer.stats.stores == 0
         assert layer.orphan_tmp_paths() == []  # tmp file cleaned up
         assert layer.get({"k": 1}) is None  # loser's write never landed
+
+    def test_full_disk_is_silent(self, tmp_path, monkeypatch):
+        layer = ArtifactCache(str(tmp_path))
+
+        def full_disk(path, envelope):
+            open(path, "wb").close()
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(layer, "_write", full_disk)
+        layer.put({"k": 1}, PAYLOAD)  # must not raise
+        assert layer.stats.stores == 0
+        assert layer.orphan_tmp_paths() == []
+
+    def test_unstorable_value_raises(self, tmp_path):
+        """A value that cannot be pickled is a bug, not a cache miss."""
+        layer = ArtifactCache(str(tmp_path))
+        with pytest.raises(TypeError, match="pickle"):
+            layer.put({"k": 1}, {"lock": threading.Lock()})
+        assert layer.stats.stores == 0
+        assert layer.orphan_tmp_paths() == []
+        assert layer.get({"k": 1}) is None
 
     def test_tmp_names_unique_within_process(self, tmp_path):
         layer = ResultCache(str(tmp_path))

@@ -102,7 +102,9 @@ class TestSingleFaults:
         )
         from repro.uarch.core import OoOCore
 
-        with pytest.raises((GuardrailError, KeyError, IndexError)):
+        # The engine never reads a slot's seq, so anything but a checker's
+        # GuardrailError (a KeyError, an IndexError) would be a checker gap.
+        with pytest.raises(GuardrailError):
             OoOCore(config, guardrails=suite).run(interp.trace)
             suite.finish(interp.output)
 
@@ -116,6 +118,10 @@ class TestCampaign:
         assert report.detection_rate >= 0.90, report.text()
         # Every configured fault class was actually exercised.
         assert set(report.by_target) == {name for name, _ in DEFAULT_MIX}
+        # Detections come from checkers and errors, never from a raw crash.
+        crashes = [record for record in report.records
+                   if record["detail"]["how"].startswith("crash:")]
+        assert crashes == []
 
     def test_report_shape(self):
         records = [

@@ -4,7 +4,10 @@ Hypothesis generates whole mini-C programs (nested ifs/whiles/fors, global
 arrays, helper calls, mutation statements) and checks the three binaries
 agree word-for-word.  Combined with the STRAIGHT ISS's dynamic distance
 validation, this is an end-to-end proof obligation over random CFG shapes —
-the cases where distance fixing is hardest.
+the cases where distance fixing is hardest.  The random CFGs and call
+chains also finish guarded timing runs (invariant checkers plus lockstep)
+on every ISA's 2-way and 4-way cores, a random-program oracle for the
+timing engine and its checkers.
 
 Runs are deterministic: the generation seed comes from ``REPRO_FUZZ_SEED``
 (default below) and is echoed into every failure report, so a failing CFG
@@ -98,7 +101,7 @@ def test_random_cfg_programs_agree(body, lim):
         return 0;
     }}
     """
-    compile_and_run_both(source, max_steps=500_000)
+    compile_and_run_both(source, max_steps=500_000, guarded_timing=True)
 
 
 @seed(FUZZ_SEED)
@@ -151,4 +154,4 @@ def test_random_call_chains_agree(selectors, depth):
     source = "\n".join(reversed(functions)) + f"""
     int main() {{ __out({calls}); return 0; }}
     """
-    compile_and_run_both(source, max_steps=500_000)
+    compile_and_run_both(source, max_steps=500_000, guarded_timing=True)

@@ -5,7 +5,6 @@ structured errors, crash dumps and the hardened sweep driver."""
 import json
 import os
 import time
-from collections import deque
 
 import pytest
 
@@ -44,10 +43,11 @@ def _entry(pc=0x100, op_class="alu", dest=1, src_distances=()):
 
 
 class _FakeRobEntry:
-    def __init__(self, seq, entry, done=False):
+    def __init__(self, seq, entry, done=False, ready_at=None):
         self.seq = seq
         self.entry = entry
         self.done = done
+        self.ready_at = ready_at
 
 
 class _FakeLsq:
@@ -77,21 +77,26 @@ class _FakeCore:
 
 
 class _FakeView:
-    """Duck-typed GuardView: just enough state for the checker hooks."""
+    """Duck-typed GuardView: just enough state for the checker hooks.
+
+    ``rob`` lists the in-flight slots oldest first; the oldest one's
+    position is ``committed``, and a sound slot holds its own position.
+    """
 
     def __init__(self, config, core=None):
         self.config = config
         self.core = core or _FakeCore()
         self.trace = []
-        self.rob = deque()
-        self.rob_by_seq = {}
-        self.pipe = deque()
-        self.reg_ready = {}
+        self.rob = []
         self.lsq = _FakeLsq()
         self.cycle = 0
         self.committed = 0
         self.iq_count = 0
         self.fetch_idx = 0
+
+    @property
+    def rob_occupancy(self):
+        return len(self.rob)
 
     def occupancy(self):
         return {"cycle": self.cycle, "rob": len(self.rob),
@@ -100,10 +105,9 @@ class _FakeView:
     def head_pc(self):
         return self.rob[0].entry.pc if self.rob else None
 
-    def add_rob(self, seq, entry=None, done=False):
-        rob_entry = _FakeRobEntry(seq, entry or _entry(), done)
+    def add_rob(self, seq, entry=None, done=False, ready_at=None):
+        rob_entry = _FakeRobEntry(seq, entry or _entry(), done, ready_at)
         self.rob.append(rob_entry)
-        self.rob_by_seq[seq] = rob_entry
         return rob_entry
 
 
@@ -191,31 +195,36 @@ class TestOccupancyChecker:
         with pytest.raises(InvariantViolation, match="ROB occupancy"):
             checker.on_cycle(view)
 
-    def test_index_size_mismatch(self):
-        checker = OccupancyChecker(deep_interval=1 << 30)
-        view = _FakeView(straight_2way())
-        view.cycle = 1
-        view.add_rob(0)
-        view.rob_by_seq[99] = object()  # stale index entry
-        with pytest.raises(InvariantViolation, match="ROB index"):
-            checker.on_cycle(view)
-
     def test_deep_scan_catches_reordered_seqs(self):
         checker = OccupancyChecker(deep_interval=1)
         view = _FakeView(straight_2way())
+        view.committed = 5
         view.add_rob(5)
-        view.add_rob(3)  # out of order: seq must be monotone along the ROB
-        with pytest.raises(InvariantViolation, match="order corrupted"):
+        view.add_rob(3)  # out of order: position 6 holds an older seq
+        with pytest.raises(InvariantViolation,
+                           match="position #6 holds #3"):
             checker.on_cycle(view)
 
     def test_deep_scan_catches_index_aliasing(self):
         checker = OccupancyChecker(deep_interval=1)
         view = _FakeView(straight_2way())
-        a = view.add_rob(1)
-        view.add_rob(2)
-        view.rob_by_seq[2] = a  # index points at the wrong entry object
-        with pytest.raises(InvariantViolation, match="index inconsistent"):
+        view.committed = 70
+        view.add_rob(70)
+        # Position 71's slot still holds its retired occupant, one ring
+        # (64 slots) older: the ring index aliases a stale instruction.
+        view.add_rob(71 - 64)
+        with pytest.raises(InvariantViolation,
+                           match="position #71 holds #7"):
             checker.on_cycle(view)
+
+    def test_deep_scan_passes_sound_window(self):
+        checker = OccupancyChecker(deep_interval=1)
+        view = _FakeView(straight_2way())
+        view.committed = 70
+        for seq in range(70, 80):
+            view.add_rob(seq)
+        checker.on_cycle(view)
+        checker.end_run(view)
 
 
 class TestCommitSanityChecker:
@@ -226,11 +235,21 @@ class TestCommitSanityChecker:
         with pytest.raises(InvariantViolation, match="without done flag"):
             checker.on_commit(view, rob_entry, cycle=9)
 
+    def test_commit_of_wrong_position(self):
+        checker = CommitSanityChecker()
+        view = _FakeView(straight_2way())
+        view.committed = 3
+        # A flipped seq bit: the committing slot no longer holds position 3.
+        rob_entry = view.add_rob(3 ^ 4, done=True, ready_at=5)
+        with pytest.raises(InvariantViolation,
+                           match="oldest in-flight position #3"):
+            checker.on_commit(view, rob_entry, cycle=9)
+
     def test_commit_before_completion_event(self):
         checker = CommitSanityChecker()
         view = _FakeView(straight_2way())
-        rob_entry = view.add_rob(0, done=True)
-        view.reg_ready[0] = 50  # completes in the future
+        # Completes in the future.
+        rob_entry = view.add_rob(0, done=True, ready_at=50)
         with pytest.raises(InvariantViolation) as info:
             checker.on_commit(view, rob_entry, cycle=9)
         assert info.value.context["ready"] == 50
@@ -238,15 +257,14 @@ class TestCommitSanityChecker:
     def test_commit_never_issued(self):
         checker = CommitSanityChecker()
         view = _FakeView(straight_2way())
-        rob_entry = view.add_rob(0, done=True)  # no reg_ready record at all
+        rob_entry = view.add_rob(0, done=True)  # no result cycle at all
         with pytest.raises(InvariantViolation, match="completion is recorded"):
             checker.on_commit(view, rob_entry, cycle=9)
 
     def test_clean_commit_passes(self):
         checker = CommitSanityChecker()
         view = _FakeView(straight_2way())
-        rob_entry = view.add_rob(0, done=True)
-        view.reg_ready[0] = 5
+        rob_entry = view.add_rob(0, done=True, ready_at=5)
         checker.on_commit(view, rob_entry, cycle=9)
 
 

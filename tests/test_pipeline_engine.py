@@ -5,7 +5,7 @@ pinned by ``tests/test_golden_snapshots.py``; this file covers the new
 machinery itself: the clock's jump semantics, the skip target (the
 earliest pending cycle, always in the future), the idle-skip invariant
 (identical stats with and without skipping, with a nonzero skip count on
-stall-heavy code), the commit-time pruning of per-seq bookkeeping, and the
+stall-heavy code), the ROB-sized in-flight window and its ring, and the
 :class:`~repro.uarch.stats.StatsRegistry` contribution rules.
 """
 
@@ -185,17 +185,18 @@ class TestCycleSkipping:
 
 
 class _BookkeepingProbe(InvariantChecker):
-    """Records the high-water marks of the per-seq bookkeeping dicts."""
+    """Records the high-water marks of the in-flight window and of the
+    per-seq wakeup dict."""
 
     name = "bookkeeping-probe"
 
     def __init__(self):
-        self.max_reg_ready = 0
+        self.max_in_flight = 0
         self.max_waiting = 0
 
     def on_cycle(self, view):
         state = view.core.engine.state
-        self.max_reg_ready = max(self.max_reg_ready, len(view.reg_ready))
+        self.max_in_flight = max(self.max_in_flight, len(view.rob))
         self.max_waiting = max(self.max_waiting, len(state.waiting))
 
 
@@ -205,28 +206,49 @@ class TestCommitPruning:
         core = OoOCore(ss_2way())
         core.run(trace)
         state = core.engine.state
-        assert state.reg_ready == {}
+        assert state.committed == state.dispatched == state.fetch_idx
+        assert state.committed == len(trace)
+        assert not state.pipe
+        assert state.rob_head() is None and state.in_flight() == []
         assert state.store_addr == {}
         assert state.waiting == {}
-        assert state.rob_by_seq == {}
         assert state.iq_count == 0
 
     def test_bookkeeping_bounded_by_rob_during_run(self):
-        """Pruned-at-commit dicts never exceed the in-flight window."""
+        """The in-flight window and the wakeup dict stay ROB-sized."""
         probe = _BookkeepingProbe()
         config = ss_2way()
         suite = GuardrailSuite(config, checkers=[probe])
         core = OoOCore(config, guardrails=suite)
         trace = _trace(STALL_HEAVY)
         core.run(trace)
-        assert 0 < probe.max_reg_ready <= config.rob_entries
+        assert 0 < probe.max_in_flight <= config.rob_entries
         assert 0 < probe.max_waiting <= config.rob_entries
-        # Per-instruction issue-queue state lives in rings of ROB size.
+        # Per-instruction state lives in rings of ROB size.
         state = core.engine.state
+        assert len(state.rob_slots) < 2 * config.rob_entries
         assert len(state.iq_remaining) < 2 * config.rob_entries
         # Steady-state, not O(trace): far more instructions ran than the
-        # dicts ever held.
-        assert len(trace) > 4 * probe.max_reg_ready
+        # window ever held.
+        assert len(trace) > 4 * probe.max_in_flight
+
+
+class TestRobRing:
+    def test_late_completion_leaves_new_occupant(self, small_build):
+        """A completion event for a seq a fault already committed must not
+        mark the younger instruction now in its ring slot done."""
+        engine = _idle_engine(small_build)
+        state = engine.state
+        ring = len(state.rob_slots)
+        state.committed, state.dispatched = 1, ring + 1
+        slot = state.rob_slots[0]
+        slot.seq, slot.done = ring, False
+        state.events[engine.sched.cycle] = [0]
+        engine.completion.tick()
+        assert not slot.done
+        state.events[engine.sched.cycle] = [ring]
+        engine.completion.tick()
+        assert slot.done
 
 
 class TestStatsRegistry:

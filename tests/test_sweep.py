@@ -198,6 +198,26 @@ class TestCacheKeys:
         warm = compile_binary_cached(TINY, target="straight")
         assert run_functional(warm).output == cold_out
 
+    def test_cross_validated_build_persists(self, disk_cache):
+        """Cross-validation runs compile fast-path blocks; the build still
+        reaches the disk layer, so a warm sweep's pre-pass can serve it."""
+        from repro.core.api import run_functional
+        from repro.workloads.common import (
+            build_workload,
+            clear_build_cache,
+            peek_cached_build,
+        )
+
+        clear_build_cache()
+        built = build_workload("dhrystone", 40)
+        assert cache_mod.artifact_cache().stats.stores == 1
+        clear_build_cache()
+        served = peek_cached_build("dhrystone", 40)
+        assert served is not None and served is not built
+        for label, binary in built.all().items():
+            assert (run_functional(served.all()[label]).output
+                    == run_functional(binary).output)
+
 
 class TestInvalidation:
     def test_clear_cache_disk_wipes_even_while_disabled(self, disk_cache):
