@@ -482,9 +482,11 @@ def bench_observability(config_name="SS-2way", repeats=3,
                         workload="branchy_div"):
     """Price the observability subsystem against the plain timing run.
 
-    Four modes over the same trace and config, best-of-``repeats`` each:
+    Five modes over the same trace and config, best-of-``repeats`` each
+    (``plain`` and ``bus_empty`` interleaved, repeat by repeat):
 
     * ``plain`` — no observer argument at all (the default path);
+    * ``stepped`` — ``plain`` with idle-cycle skipping off;
     * ``bus_empty`` — an :class:`~repro.obs.ObserverBus` with no sinks
       attached; the engine normalizes it to ``None``, so this prices the
       "tracing compiled in but disabled" promise the CI job gates at ≤5%;
@@ -494,7 +496,7 @@ def bench_observability(config_name="SS-2way", repeats=3,
       idle-skip forced off — priced against the *stepped* plain run so the
       number isolates the accounting cost from the skipping loss).
 
-    All four modes must agree on the cycle count bit-exactly; enabled-mode
+    All five modes must agree on the cycle count bit-exactly; enabled-mode
     overheads are reported but not gated (you asked for the data).
     """
     from repro.obs import KanataWriter, ObserverBus, StallAttributionAccountant
@@ -504,21 +506,33 @@ def bench_observability(config_name="SS-2way", repeats=3,
     label = isa_registry.for_config(probe).label_for_config(probe)
     trace = _trace_for(BENCH_WORKLOADS[workload], label)
 
-    def timed(observer_factory, idle_skip=True):
-        best = None
-        for _ in range(repeats):
-            core = OoOCore(factory())
-            observer = observer_factory() if observer_factory else None
-            start = time.perf_counter()
-            stats = core.run(trace, idle_skip=idle_skip, observer=observer)
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best[1]:
-                best = (stats, elapsed)
-        return best
+    def run_once(observer_factory, idle_skip=True):
+        core = OoOCore(factory())
+        observer = observer_factory() if observer_factory else None
+        start = time.perf_counter()
+        stats = core.run(trace, idle_skip=idle_skip, observer=observer)
+        return stats, time.perf_counter() - start
 
-    plain_stats, plain_s = timed(None)
+    def best(runs):
+        return min(runs, key=lambda run: run[1])
+
+    def timed(observer_factory, idle_skip=True):
+        return best([run_once(observer_factory, idle_skip)
+                     for _ in range(repeats)])
+
+    # The gated pair runs one code path twice (the engine drops an empty
+    # bus), so its repeats alternate, each side going first every other
+    # round: both see the same moments of host load.
+    plain_runs, empty_runs = [], []
+    for round_index in range(repeats):
+        order = [(plain_runs, None), (empty_runs, ObserverBus)]
+        if round_index % 2:
+            order.reverse()
+        for runs, observer_factory in order:
+            runs.append(run_once(observer_factory))
+    plain_stats, plain_s = best(plain_runs)
+    empty_stats, empty_s = best(empty_runs)
     stepped_stats, stepped_s = timed(None, idle_skip=False)
-    empty_stats, empty_s = timed(lambda: ObserverBus())
     kanata_stats, kanata_s = timed(lambda: ObserverBus([KanataWriter()]))
     attr_stats, attr_s = timed(
         lambda: ObserverBus([StallAttributionAccountant()]))

@@ -15,9 +15,10 @@ only the windows are simulated cycle-accurately:
   predictors, LSQ, memory-dependence predictor all *persist* across
   windows on one reused core — detailed warming in SMARTS terms) before
   measurement starts;
-* the **window** is the measured region: cycles are read at its boundary
-  commits by an instruction-granular pipeline sink, so event-driven cycle
-  skipping stays enabled;
+* the **window** is the measured region: the engine snapshots cycle and
+  counters when its commit count reaches the window's first and last
+  instruction (commit marks), so the segment runs the plain, unobserved
+  engine path, event-driven cycle skipping included;
 * **cooldown** instructions keep the pipeline fed past the last measured
   commit, killing the end-of-trace drain bias.
 
@@ -39,13 +40,8 @@ import random
 from repro import fastpath
 from repro.common.errors import SimulationError
 from repro.common.layout import WORD_BYTES
-from repro.obs.events import ObserverBus, PipelineSink
 from repro.uarch.core import OoOCore
 from repro.uarch.stats import SimStats
-
-#: Counter fields that are assigned (not accumulated) at the end of each
-#: core run — boundary deltas are meaningless for them.
-_ASSIGNED_FIELDS = ("cycles", "instructions")
 
 #: Golden-ratio conjugate: the Weyl-sequence increment for window placement
 #: (equidistributed modulo 1 against any rational loop period).
@@ -113,101 +109,64 @@ class SamplingParams:
                 f" seed={self.seed})")
 
 
-class _WindowBoundarySink(PipelineSink):
-    """Snapshots cycle + counters at the measured window's boundary commits.
-
-    Instruction-granular on purpose (``cycle_granular`` stays False), so
-    attaching it never disables the engine's idle-cycle skipping and the
-    simulated cycle counts are identical to an unobserved run.
-    """
-
-    name = "sampling-boundary"
-
-    def __init__(self, warmup, window):
-        self.first = warmup
-        self.second = warmup + window
-        self.commits = 0
-        self.start = None   # (cycle, field snapshot) at commit #warmup
-        self.stop = None    # ... at commit #(warmup + window)
-        self._stats = None
-
-    def begin_run(self, core, state, sched):
-        self.commits = 0
-        self.stop = None
-        self._stats = core.stats
-        # A zero-warmup window starts measuring before the first commit.
-        self.start = self._snapshot(0) if self.first == 0 else None
-
-    def _snapshot(self, cycle):
-        stats = self._stats
-        return cycle, {field: getattr(stats, field)
-                       for field in stats.fields
-                       if field not in _ASSIGNED_FIELDS}
-
-    def on_commit(self, seq, entry, cycle):
-        self.commits += 1
-        if self.commits == self.first:
-            self.start = self._snapshot(cycle)
-        elif self.commits == self.second:
-            self.stop = self._snapshot(cycle)
-
-
 class _PredictorWarmer:
     """Functional warming: trains predictor/BTB/RAS during fast-forward.
 
-    Replicates exactly the state mutations of the fetch stage's
-    ``_predict_control`` — direction-predictor train + history shift on
-    conditional branches, RAS pops on predicted-taken returns, RAS pushes on
-    calls, BTB fills on taken non-returns — without any cycle modeling.
+    Makes exactly the state writes of the fetch stage's
+    ``_predict_control``, in its order, without any cycle modeling:
+    ``predictor.update`` on conditional branches, ``ras.pop`` on returns,
+    ``ras.push`` on calls and ``btb.update`` on taken non-returns.  The
+    lookups whose results fetch compares against the outcome
+    (``predictor.predict``, ``btb.predict``) write no state, so warming
+    skips them.  No ISA has a conditional call or return, and no jump is
+    both a call and a return.
+
     ``note`` consumes the compiled fast path's
     :data:`~repro.fastpath.codegen.CompiledProgram.term_at` descriptors;
     ``note_entry`` consumes :class:`~repro.common.trace.TraceEntry` views
     (the baseline-interpreter fallback), and the two produce bit-identical
-    predictor state for the same execution.
+    predictor state for the same execution.  Both are closures over the
+    bound update methods: the compiled fast-forward calls ``note`` once
+    per executed branch or jump.
     """
 
     def __init__(self, core, text_base):
-        self.predictor = core.predictor
-        self.btb = core.btb
-        self.ras = core.ras
-        self.text_base = text_base
+        train = core.predictor.update
+        fill = core.btb.update
+        push = core.ras.push
+        pop = core.ras.pop
 
-    def note(self, term, next_index):
-        pc, is_cond, is_call, is_return, fallthrough = term
-        if is_cond:
-            taken = next_index != fallthrough
-            predicted = self.predictor.predict(pc)
-            self.predictor.update(pc, taken)
-        else:
-            taken = True
-            predicted = True
-        if predicted:
-            if is_return:
-                self.ras.pop()
-            else:
-                self.btb.predict(pc)
-        if is_call:
-            self.ras.push(pc + WORD_BYTES)
-        if taken and not is_return:
-            self.btb.update(pc, self.text_base + next_index * WORD_BYTES)
+        def note(term, next_index):
+            pc, is_cond, is_call, is_return, fallthrough = term
+            if is_cond:
+                if next_index == fallthrough:
+                    train(pc, False)
+                    return
+                train(pc, True)
+            elif is_return:
+                pop()
+                return
+            elif is_call:
+                push(pc + WORD_BYTES)
+            fill(pc, text_base + next_index * WORD_BYTES)
 
-    def note_entry(self, entry):
-        if not entry.is_control:
-            return
-        if entry.is_branch:
-            predicted = self.predictor.predict(entry.pc)
-            self.predictor.update(entry.pc, entry.taken)
-        else:
-            predicted = True
-        if predicted:
-            if entry.is_return:
-                self.ras.pop()
-            else:
-                self.btb.predict(entry.pc)
-        if entry.is_call:
-            self.ras.push(entry.pc + WORD_BYTES)
-        if entry.taken and not entry.is_return:
-            self.btb.update(entry.pc, entry.next_pc)
+        def note_entry(entry):
+            if not entry.is_control:
+                return
+            pc = entry.pc
+            if entry.is_branch:
+                train(pc, entry.taken)
+                if not entry.taken:
+                    return
+            elif entry.is_return:
+                pop()
+                return
+            elif entry.is_call:
+                push(pc + WORD_BYTES)
+            fill(pc, entry.next_pc)
+
+        self.note = note
+        self.note_entry = note_entry
 
 
 def _ci95(values):
@@ -251,12 +210,9 @@ class SampledRunner:
         # The front-end model binds the counter object at core construction;
         # rebinding both keeps every component writing into this window.
         core.frontend.stats = stats
-        sink = _WindowBoundarySink(warmup, window)
-        core.run(segment, warm=warm, observer=ObserverBus([sink]))
-        if sink.start is None or sink.stop is None:  # pragma: no cover
-            return None
-        start_cycle, start_fields = sink.start
-        stop_cycle, stop_fields = sink.stop
+        core.run(segment, warm=warm, marks=(warmup, warmup + window))
+        (start_cycle, start_fields), (stop_cycle, stop_fields) = (
+            core.engine.marked)
         return {
             "cycles": max(1, stop_cycle - start_cycle),
             "instructions": window,

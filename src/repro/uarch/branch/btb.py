@@ -9,8 +9,6 @@ class BranchTargetBuffer:
         self.index_mask = entries - 1
         self.tags = [None] * entries
         self.targets = [0] * entries
-        self.hits = 0
-        self.misses = 0
 
     def _index(self, pc):
         return (pc >> 2) & self.index_mask
@@ -19,9 +17,7 @@ class BranchTargetBuffer:
         """Predicted target for ``pc``, or ``None`` on a BTB miss."""
         index = self._index(pc)
         if self.tags[index] == pc:
-            self.hits += 1
             return self.targets[index]
-        self.misses += 1
         return None
 
     def update(self, pc, target):

@@ -9,18 +9,18 @@ class GsharePredictor:
         self.table_entries = table_entries
         self.index_mask = table_entries - 1
         self.history_mask = (1 << history_bits) - 1
+        # Fold the history into the *upper* index bits: small-footprint code
+        # has all branch PCs in a narrow range, and XORing the history into
+        # the dense low bits would alias hot branches onto one another for
+        # many history values (destructive interference).
+        self.history_shift = max(0, self.index_mask.bit_length() - history_bits)
         self.history = 0
         self.table = [2] * table_entries  # weakly taken
         self.predictions = 0
         self.correct = 0
 
     def _index(self, pc):
-        # Fold the history into the *upper* index bits: small-footprint code
-        # has all branch PCs in a narrow range, and XORing the history into
-        # the dense low bits would alias hot branches onto one another for
-        # many history values (destructive interference).
-        shift = max(0, self.index_mask.bit_length() - self.history_bits)
-        return ((pc >> 2) ^ (self.history << shift)) & self.index_mask
+        return ((pc >> 2) ^ (self.history << self.history_shift)) & self.index_mask
 
     def predict(self, pc):
         """Predicted direction for the conditional branch at ``pc``."""

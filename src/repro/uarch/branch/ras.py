@@ -7,18 +7,14 @@ class ReturnAddressStack:
     def __init__(self, depth=16):
         self.depth = depth
         self.stack = []
-        self.pushes = 0
-        self.pops = 0
 
     def push(self, return_pc):
-        self.pushes += 1
         self.stack.append(return_pc)
         if len(self.stack) > self.depth:
             self.stack.pop(0)
 
     def pop(self):
         """Predicted return target, or ``None`` when empty."""
-        self.pops += 1
         if self.stack:
             return self.stack.pop()
         return None

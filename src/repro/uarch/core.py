@@ -116,7 +116,7 @@ class OoOCore:
     # ------------------------------------------------------------------ run --
 
     def run(self, trace, max_cycles=200_000_000, warm=False, idle_skip=True,
-            observer=None):
+            observer=None, marks=()):
         """Simulate ``trace`` to completion and return the stats.
 
         ``idle_skip=False`` forces cycle-by-cycle stepping (benchmarks use
@@ -125,6 +125,8 @@ class OoOCore:
         ``observer`` is an optional :class:`~repro.obs.ObserverBus`; an empty
         or ``None`` bus leaves the hot path untouched, and a bus with a
         cycle-granular sink (the stall accountant) also disables skipping.
+        ``marks`` are commit counts; ``self.engine.marked`` then holds one
+        ``(cycle, counters)`` snapshot per mark reached, in mark order.
         """
         trace = self.compact(trace)
         if warm:
@@ -136,6 +138,6 @@ class OoOCore:
 
         self.engine = TimingEngine(
             self, trace, guardrails=self.guardrails, idle_skip=idle_skip,
-            observer=observer,
+            observer=observer, marks=marks,
         )
         return self.engine.run(max_cycles)

@@ -7,7 +7,7 @@ pipeline-stage components that communicate through one typed
 * :class:`CompletionStage` — retires completion events, wakes issue-queue
   consumers, resolves awaited branches and charges recovery stalls;
 * :class:`CommitStage` — in-order commit at commit width, guardrail commit
-  hooks, LSQ deallocation;
+  hooks, LSQ deallocation, counter snapshots at requested commit counts;
 * :class:`IssueStage` — wakeup-select with per-class ports, LSQ issue
   (forwarding / memory-dependence waits / violation replays);
 * :class:`DispatchStage` — ROB/IQ/LSQ structural stalls, front-end model
@@ -288,9 +288,37 @@ class CompletionStage(PipelineStage):
 
 
 class CommitStage(PipelineStage):
-    """In-order commit at commit width."""
+    """In-order commit at commit width, and the run's commit marks.
+
+    ``marks`` are commit counts.  After a commit group takes
+    ``committed`` to or past the next mark, the stage appends
+    ``(cycle, counters)`` to ``marked`` once for every mark it reached.
+    ``counters`` holds every stats field but the engine's own ``cycles``
+    and ``instructions``, read after this cycle's completion and commit and
+    before its issue, dispatch and fetch (commit changes no counter).  The
+    engine records a mark of 0 before the first cycle.  Past the last mark
+    waits a sentinel no run reaches, so a run without marks pays one
+    compare per commit tick.
+    """
 
     name = "commit"
+
+    def __init__(self, *args, marks=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.marked = []
+        #: the marks not reached yet, next one last, above the sentinel
+        self._pending = [self.state.n + 1, *sorted(marks, reverse=True)]
+        self.next_mark = self._pending.pop()
+
+    def record_marks(self, cycle):
+        """Append a snapshot for each mark ``committed`` has reached."""
+        stats = self.stats
+        committed = self.state.committed
+        while self.next_mark <= committed:
+            self.marked.append((cycle, {
+                field: getattr(stats, field) for field in stats.fields
+                if field not in TimingEngine.STAT_FIELDS}))
+            self.next_mark = self._pending.pop()
 
     def tick(self):
         state = self.state
@@ -323,6 +351,8 @@ class CommitStage(PipelineStage):
             state.committed = seq + 1
         if freed:
             self.core.frontend.on_commit(freed)
+        if state.committed >= self.next_mark:
+            self.record_marks(cycle)
 
     def can_tick(self):
         head = self.state.rob_head()
@@ -744,13 +774,16 @@ class TimingEngine:
     (predictor, caches, LSQ, front-end model) that stages reach through
     ``core``.  ``idle_skip=False`` forces seed-style cycle-by-cycle stepping
     (used by benchmarks to measure the skip win, and implied whenever a
-    guardrail suite is attached).
+    guardrail suite is attached).  ``marks`` are commit counts: ``marked``
+    holds one ``(cycle, counters)`` snapshot per mark the run reached (see
+    :class:`CommitStage`).
     """
 
+    #: assigned once, at the end of a run
     STAT_FIELDS = ("cycles", "instructions")
 
     def __init__(self, core, trace, guardrails=None, idle_skip=True,
-                 observer=None):
+                 observer=None, marks=()):
         self.core = core
         self.guard = guardrails
         # Normalize an empty bus to None: the stages then skip even the
@@ -775,16 +808,19 @@ class TimingEngine:
                           and (obs is None or not obs.cycle_granular))
         args = (core, self.state, self.sched, core.stats)
         self.completion = CompletionStage(*args, obs=obs)
-        self.commit = CommitStage(*args, guard=guardrails, obs=obs)
+        self.commit = CommitStage(*args, guard=guardrails, obs=obs,
+                                  marks=marks)
         self.issue = IssueStage(*args, obs=obs)
         self.dispatch = DispatchStage(*args, guard=guardrails, obs=obs)
         self.fetch = FetchStage(*args, obs=obs)
         self.stages = (self.completion, self.commit, self.issue,
                        self.dispatch, self.fetch)
+        self.marked = self.commit.marked
 
     def run(self, max_cycles=200_000_000):
         state = self.state
         stats = self.core.stats
+        self.commit.record_marks(self.sched.cycle)  # a mark of 0
         n = state.n
         if n == 0:
             return stats

@@ -338,14 +338,39 @@ class TestControlDescriptors:
                     assert term is None, (label, op.index)
 
 
+def _plain(value):
+    """``value`` with slotted objects (TAGE's tables) turned into dicts."""
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    slots = getattr(type(value), "__slots__", None)
+    if slots:
+        return {name: _plain(getattr(value, name)) for name in slots}
+    return value
+
+
 def _predictor_state(core):
     """Comparable snapshot of everything functional warming mutates."""
     skip = ("stats",)
     return {
-        unit: {k: v for k, v in vars(getattr(core, unit)).items()
+        unit: {k: _plain(v) for k, v in vars(getattr(core, unit)).items()
                if k not in skip}
         for unit in ("predictor", "btb", "ras")
     }
+
+
+def _warm_both_ways(binary, config):
+    """Predictor state after the same 1500-instruction fast-forward on the
+    compiled path (term_at callbacks) and the baseline (trace replay)."""
+    states = []
+    for compiled in (True, False):
+        interp = binary.interpreter(compiled=compiled)
+        core = OoOCore(config)
+        warmer = _PredictorWarmer(core, binary.program.text_base)
+        runner = SampledRunner(binary, config, SamplingParams())
+        steps = runner._fast_forward(interp, 1500, warmer)
+        assert steps == 1500
+        states.append(_predictor_state(core))
+    return states
 
 
 class TestWarmingParity:
@@ -357,15 +382,40 @@ class TestWarmingParity:
         # _fast_forward has two implementations: term_at callbacks on the
         # compiled path, trace replay on the baseline path.  Same execution
         # must leave bit-identical predictor / BTB / RAS state.
-        binary = binaries[label]
-        config = config_factory()
-        states = []
-        for compiled in (True, False):
-            interp = binary.interpreter(compiled=compiled)
-            core = OoOCore(config)
-            warmer = _PredictorWarmer(core, binary.program.text_base)
-            runner = SampledRunner(binary, config, SamplingParams())
-            steps = runner._fast_forward(interp, 1500, warmer)
-            assert steps == 1500
-            states.append(_predictor_state(core))
+        states = _warm_both_ways(binaries[label], config_factory())
         assert states[0] == states[1]
+
+    @pytest.mark.parametrize("label,config_factory", [
+        ("SS", ss_2way), ("STRAIGHT-RE+", straight_2way),
+    ])
+    def test_compiled_and_trace_warming_agree_on_tage(self, binaries, label,
+                                                      config_factory):
+        states = _warm_both_ways(binaries[label],
+                                 config_factory(predictor="tage"))
+        assert states[0] == states[1]
+        assert states[0]["predictor"]["predictions"] > 0
+
+    @pytest.mark.parametrize("predictor", ["gshare", "tage"])
+    @pytest.mark.parametrize("label,config_factory", [
+        ("SS", ss_2way), ("STRAIGHT-RE+", straight_2way),
+    ])
+    def test_warming_makes_the_fetch_stages_writes(self, binaries, label,
+                                                   config_factory, predictor):
+        # Fetch predicts every trace position once, in program order, and
+        # the warmer claims to make exactly fetch's predictor, BTB and RAS
+        # writes without its lookups.  A timing run and warming over the
+        # same trace must then leave equal state.
+        binary = binaries[label]
+        config = config_factory(predictor=predictor)
+        interp = binary.interpreter(collect_trace=True)
+        interp.run(max_steps=50_000_000)
+        timed = OoOCore(config)
+        timed.run(interp.trace)
+        warmed = OoOCore(config)
+        warmer = _PredictorWarmer(warmed, binary.program.text_base)
+        for entry in interp.trace:
+            warmer.note_entry(entry)
+        state = _predictor_state(warmed)
+        assert state == _predictor_state(timed)
+        assert state["predictor"]["predictions"] > 0
+        assert any(tag is not None for tag in state["btb"]["tags"])
