@@ -38,7 +38,7 @@ class Binary:
         ``compiled`` forces the threaded-code fast path on (``True``:
         every block compiles at its first entry), off (``False``) or leaves
         the interpreter's default policy (``None`` — blocks compile once hot,
-        unless ``STRAIGHT_FASTPATH=0`` or the program is incompatible).
+        unless the program is incompatible).
         ``trace_values`` makes the recorded trace keep every instruction's
         result, which lockstep co-simulation compares at commit.
         """
@@ -144,9 +144,11 @@ def simulate(binary, config, max_steps=50_000_000, warm_caches=False,
 
     ``observer`` attaches an :class:`~repro.obs.ObserverBus` of pipeline
     sinks (Kanata log writer, stall-attribution accountant, hot-region
-    profiler — see :mod:`repro.obs`) to the timing run.  When both
-    guardrails and a stall accountant are present, the suite additionally
-    enforces per-cycle attribution conservation.
+    profiler — see :mod:`repro.obs`) to the timing run.  A guardrail suite
+    runs as the last sink of a new bus after the caller's sinks, so the
+    caller's bus is left as it was.  When the sinks include a stall
+    accountant, the suite additionally enforces per-cycle attribution
+    conservation.
     """
     if guardrails is None:
         guardrails = getattr(config, "guardrails", False)
@@ -161,18 +163,18 @@ def simulate(binary, config, max_steps=50_000_000, warm_caches=False,
     suite = None
     if guardrails:
         from repro.guardrails import GuardrailSuite, build_guardrails
+        from repro.guardrails.checkers import StallAttributionChecker
+        from repro.obs import ObserverBus, StallAttributionAccountant
 
         suite = (guardrails if isinstance(guardrails, GuardrailSuite)
                  else build_guardrails(config, binary=binary))
-    if suite is not None and observer is not None and observer.active:
-        from repro.guardrails.checkers import StallAttributionChecker
-        from repro.obs.attribution import StallAttributionAccountant
-
-        for sink in observer.sinks:
+        sinks = observer.sinks if observer is not None else []
+        for sink in sinks:
             if isinstance(sink, StallAttributionAccountant):
                 suite.add_checker(StallAttributionChecker(sink))
                 break
-    core = OoOCore(config, guardrails=suite)
+        observer = ObserverBus([*sinks, suite])
+    core = OoOCore(config)
     stats = core.run(interp.trace, warm=warm_caches, observer=observer)
     report = suite.finish(result.output) if suite is not None else None
     return SimulationResult(binary, config, result, interp, stats,

@@ -49,21 +49,15 @@ bookkeeping batching means partially-executed blocks leave statistics
 dicts behind the baseline's — acceptable because erroring programs are
 compiler bugs by definition and nothing asserts statistics after a crash.
 
-``STRAIGHT_FASTPATH=0`` in the environment disables the whole subsystem
-(every interpreter falls back to the baseline ``step_op`` loop), and each
-interpreter accepts ``compiled=True/False/None`` to override per instance:
-``True`` compiles every block at its first entry, ``False`` takes the
-baseline loop, and ``None`` (the default) compiles hot blocks while the
-global switch is on.
+Each interpreter accepts ``compiled=True/False/None``: ``True`` compiles
+every block at its first entry, ``False`` takes the baseline ``step_op``
+loop, and ``None`` (the default) compiles blocks once hot.
 """
-
-import os
 
 from repro.common.errors import SimulationError
 
 __all__ = [
     "HOT_THRESHOLD",
-    "enabled",
     "compiled_for",
     "run_compiled",
     "run_compiled_warming",
@@ -77,18 +71,6 @@ __all__ = [
 #: entries for RV32IM and bb binaries and 63-94 for STRAIGHT ones on a
 #: shared 2-vCPU x86-64 host (DESIGN.md §14.1).
 HOT_THRESHOLD = 64
-
-
-def enabled(default=True):
-    """Whether the compiled fast path is globally enabled.
-
-    ``STRAIGHT_FASTPATH=0`` (or ``off``/``false``) disables it — the
-    escape hatch for benchmarking the baseline and for debugging.
-    """
-    value = os.environ.get("STRAIGHT_FASTPATH")
-    if value is None:
-        return default
-    return value.strip().lower() not in ("0", "off", "false", "no")
 
 
 def compiled_for(program, isa):

@@ -337,10 +337,16 @@ def _build_suite(config, binary, spec=None, seed=0, window=32):
                             window=window)
 
 
-def _run_one(binary, config, spec, golden, max_steps, seed):
-    """Run one faulted simulation; returns (outcome, detail)."""
+def _guarded_run(config, trace, suite):
+    """One timing run of ``trace`` with ``suite`` as its only sink."""
+    from repro.obs import ObserverBus
     from repro.uarch.core import OoOCore
 
+    return OoOCore(config).run(trace, observer=ObserverBus([suite]))
+
+
+def _run_one(binary, config, spec, golden, max_steps, seed):
+    """Run one faulted simulation; returns (outcome, detail)."""
     golden_output, golden_memory = golden
     try:
         if spec.is_functional():
@@ -357,8 +363,7 @@ def _run_one(binary, config, spec, golden, max_steps, seed):
             if status == "limit":
                 raise SimulationError("clean functional run hit step budget")
             suite = _build_suite(config, binary, spec, seed=seed)
-        core = OoOCore(config, guardrails=suite)
-        core.run(interp.trace)
+        _guarded_run(config, interp.trace, suite)
         suite.finish(interp.output)
     except RunTimeoutError:
         # A campaign-level wall-clock budget is not a fault detection;
@@ -397,8 +402,6 @@ def run_campaign(source=None, binary=None, config=None, n_faults=100,
 
     # Golden references: functional state and the clean guarded timing run
     # (which also proves checkers are quiet on an uncorrupted machine).
-    from repro.uarch.core import OoOCore
-
     golden_interp = binary.interpreter(collect_trace=True, trace_values=True)
     golden_status = golden_interp.run(max_steps).status
     if golden_status != "halt":
@@ -406,8 +409,7 @@ def run_campaign(source=None, binary=None, config=None, n_faults=100,
     golden = (list(golden_interp.output), dict(golden_interp.memory))
     n_steps = len(golden_interp.trace)
     clean_suite = _build_suite(config, binary)
-    clean_core = OoOCore(config, guardrails=clean_suite)
-    clean_stats = clean_core.run(golden_interp.trace)
+    clean_stats = _guarded_run(config, golden_interp.trace, clean_suite)
     clean_suite.finish(golden_interp.output)
     n_cycles = clean_stats.cycles
 

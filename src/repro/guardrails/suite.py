@@ -1,12 +1,13 @@
-"""Guardrail suite: the timing core's hook bus for checkers and injectors.
+"""Guardrail suite: one pipeline sink fanning out to checkers and injectors.
 
 The timing engine (:mod:`repro.uarch.pipeline`) stays unaware of what runs
-behind the guardrails: it calls ``begin_run`` / ``on_dispatch`` /
-``on_commit`` / ``on_cycle`` / ``end_run`` on one :class:`GuardrailSuite`
-*only when one was attached*, so the default (guardrails disabled) path
-executes exactly the same instruction stream and reproduces its cycle counts
-bit-for-bit.  Attaching a suite also disables event-driven cycle skipping,
-so per-cycle hooks observe every cycle.
+behind the guardrails: a :class:`GuardrailSuite` is a
+:class:`~repro.obs.events.PipelineSink`, attached last to the run's
+:class:`~repro.obs.events.ObserverBus`, and it hands ``begin_run`` /
+``on_dispatch`` / ``on_commit`` / ``on_cycle_end`` / ``end_run`` on to its
+checkers, lockstep monitor and fault injector.  A run without a suite
+executes exactly the same instruction stream and reproduces its cycle
+counts bit-for-bit.
 
 The suite exposes the engine's live :class:`~repro.uarch.pipeline.PipelineState`
 to checkers through a :class:`GuardView` — the engine's own ROB slot objects
@@ -18,6 +19,7 @@ raised guardrail error carries a replayable window of the commit stream.
 from collections import deque
 
 from repro.common.errors import GuardrailError
+from repro.obs.events import PipelineSink
 
 
 def _entry_summary(entry):
@@ -103,7 +105,10 @@ class InvariantChecker:
     """Base class: checkers override the hooks they need.
 
     The suite inspects which hooks are overridden so that, e.g., a
-    dispatch-only checker costs nothing at commit time.
+    dispatch-only checker costs nothing at commit time.  ``on_dispatch``
+    receives the instruction's :class:`~repro.common.trace.TraceEntry`;
+    ``on_commit`` receives its ROB slot, whose ``entry`` is the static
+    record (:class:`~repro.isa.timing.StaticOp`).
     """
 
     name = "checker"
@@ -124,8 +129,15 @@ class InvariantChecker:
         pass
 
 
-class GuardrailSuite:
-    """Aggregates invariant checkers, a lockstep monitor and a fault injector."""
+class GuardrailSuite(PipelineSink):
+    """Aggregates invariant checkers, a lockstep monitor and a fault injector.
+
+    Attach it as the last sink of a run's observer bus
+    (:func:`repro.core.api.simulate` does), so at each hook it sees what
+    the other sinks did first.
+    """
+
+    name = "guardrails"
 
     def __init__(self, config, checkers=(), lockstep=None, injector=None,
                  window=32):
@@ -135,6 +147,7 @@ class GuardrailSuite:
         self.injector = injector
         self.commit_log = deque(maxlen=window)
         self.view = None
+        self._state = None
         self.commits_seen = 0
         self._rebuild_hook_lists()
 
@@ -156,7 +169,7 @@ class GuardrailSuite:
         self._rebuild_hook_lists()
         return self
 
-    # -- hooks called by the timing core ------------------------------------
+    # -- sink hooks ----------------------------------------------------------
 
     def begin_run(self, core, state, sched):
         if self.lockstep is not None and state.trace.values is None:
@@ -165,30 +178,37 @@ class GuardrailSuite:
                 "trace_values=True"
             )
         self.view = GuardView(core, state, sched)
+        self._state = state
         for checker in self.checkers:
             checker.begin_run(self.view, self.config)
         if self.injector is not None:
             self.injector.begin_run(self.view)
 
-    def on_dispatch(self, seq, entry, cycle):
+    def on_dispatch(self, seq, op, cycle, tags):
+        if not self._dispatch_checkers:
+            return
+        entry = self._state.trace.entry(seq)
         try:
             for checker in self._dispatch_checkers:
                 checker.on_dispatch(self.view, seq, entry, cycle)
         except GuardrailError as exc:
             raise self._augment(exc)
 
-    def on_commit(self, rob_entry, cycle):
+    def on_commit(self, seq, op, cycle):
         self.commits_seen += 1
-        self.commit_log.append(rob_entry.entry)
+        state = self._state
+        entry = state.trace.entry(seq)
+        self.commit_log.append(entry)
+        rob_entry = state.rob_slots[seq & state.ring_mask]
         try:
             for checker in self._commit_checkers:
                 checker.on_commit(self.view, rob_entry, cycle)
             if self.lockstep is not None:
-                self.lockstep.on_commit(rob_entry.entry, cycle)
+                self.lockstep.on_commit(entry, cycle)
         except GuardrailError as exc:
             raise self._augment(exc)
 
-    def on_cycle(self):
+    def on_cycle_end(self, cycle):
         view = self.view
         if self.injector is not None:
             self.injector.on_cycle(view)

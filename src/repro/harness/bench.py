@@ -1,26 +1,25 @@
-"""Simulator-throughput benchmark: stepped vs. event-driven timing runs.
+"""Simulator benchmarks behind ``straight bench --smoke``.
 
-``straight bench --smoke`` runs a small set of stall-heavy workloads through
-the same core twice — once with the event scheduler's idle-cycle skipping
-disabled (the seed engine's cycle-by-cycle behavior) and once enabled — and
-reports wall-clock throughput (instructions per second) for both, plus the
-executed/skipped cycle split.  CI records the JSON report as a build
-artifact so simulator-throughput regressions show up in history.
+The smoke report has three sections: ``predecode`` (the functional hot
+paths, :func:`bench_predecode`), ``observability`` (the timing engine with
+and without observers, :func:`bench_observability`; CI gates the empty-bus
+overhead) and ``sweep`` (a cold then a warm pass of a reduced grid through
+the persistent cache, :func:`bench_sweep`).  ``--fastpath`` adds
+:func:`bench_fastpath`.  Each comparison asserts that its paths agree
+(cycles, output, steps) before it reports their timings.  CI records the
+JSON report as a build artifact so regressions show up in history.
 
-The two workloads bracket the scheduler's envelope:
+The two workloads stress the engine in opposite ways:
 
 * ``branchy_div`` — a deep serial division chain feeding data-dependent
-  branches.  Mispredicted branches park fetch until the chain resolves, the
-  front-end pipe drains, and the machine sits provably idle for most of each
-  division's latency: the idle-skip best case.
+  branches.  Mispredicted branches park fetch until the chain resolves,
+  and the machine sits idle for most of each division's latency.
 * ``mem_chase`` — a dependent-load pointer chase over a cold cache.  Fetch
   runs far ahead and dispatch attempts (and counts a structural stall) on
-  almost every cycle, so nearly nothing is skippable: the honest worst case.
-
-Every benchmark run asserts the two modes produce identical cycle counts —
-the throughput numbers are only meaningful while the engines agree.
+  almost every cycle.
 """
 
+import math
 import os
 import tempfile
 import time
@@ -78,58 +77,6 @@ def _trace_for(source, label):
     interp = binary.interpreter(collect_trace=True)
     interp.run(50_000_000)
     return interp.trace
-
-
-def _timed(config_factory, trace, idle_skip, repeats):
-    """Best-of-``repeats`` wall-clock run; returns (stats, engine, seconds).
-
-    Each repeat uses a fresh core (cold predictors and caches) so both modes
-    simulate the identical microarchitectural run.
-    """
-    best = None
-    for _ in range(repeats):
-        core = OoOCore(config_factory())
-        start = time.perf_counter()
-        stats = core.run(trace, idle_skip=idle_skip)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best[2]:
-            best = (stats, core.engine, elapsed)
-    return best
-
-
-def bench_workload(name, config_name="SS-2way", repeats=3):
-    """Benchmark one workload; returns a JSON-friendly report dict."""
-    source = BENCH_WORKLOADS[name]
-    factory = ALL_CORES[config_name]
-    config = factory()
-    label = isa_registry.for_config(config).label_for_config(config)
-    trace = _trace_for(source, label)
-
-    stepped_stats, _, stepped_s = _timed(factory, trace, False, repeats)
-    event_stats, engine, event_s = _timed(factory, trace, True, repeats)
-    if stepped_stats.cycles != event_stats.cycles:
-        raise AssertionError(
-            f"{name}: cycle drift between stepped ({stepped_stats.cycles}) "
-            f"and event-driven ({event_stats.cycles}) engines"
-        )
-    instructions = event_stats.instructions
-    return {
-        "workload": name,
-        "config": config_name,
-        "instructions": instructions,
-        "cycles": event_stats.cycles,
-        "executed_cycles": engine.sched.executed_cycles,
-        "skipped_cycles": engine.sched.skipped_cycles,
-        "wall_s": {
-            "stepped": round(stepped_s, 6),
-            "event_driven": round(event_s, 6),
-        },
-        "instrs_per_sec": {
-            "stepped": round(instructions / stepped_s),
-            "event_driven": round(instructions / event_s),
-        },
-        "speedup": round(stepped_s / event_s, 3),
-    }
 
 
 # -- pre-decode speedup --------------------------------------------------------
@@ -478,26 +425,32 @@ def bench_fastpath(smoke=False, seed=0):
 # -- observability overhead ----------------------------------------------------
 
 
+#: Shortest timed sample of the gated ``plain``/``bus_empty`` pair.  One
+#: run of a bench trace takes about 0.1 s, and on a shared host single runs
+#: spread by tens of percent, far too coarse to resolve a 5% budget.
+MIN_SAMPLE_S = 0.5
+
+
 def bench_observability(config_name="SS-2way", repeats=3,
                         workload="branchy_div"):
     """Price the observability subsystem against the plain timing run.
 
-    Five modes over the same trace and config, best-of-``repeats`` each
-    (``plain`` and ``bus_empty`` interleaved, repeat by repeat):
+    Four modes over the same trace and config, best-of-``repeats`` each:
 
     * ``plain`` — no observer argument at all (the default path);
-    * ``stepped`` — ``plain`` with idle-cycle skipping off;
     * ``bus_empty`` — an :class:`~repro.obs.ObserverBus` with no sinks
       attached; the engine normalizes it to ``None``, so this prices the
       "tracing compiled in but disabled" promise the CI job gates at ≤5%;
-    * ``kanata`` — the pipeline-log writer attached (instruction-granular,
-      idle-skip stays on);
-    * ``attribution`` — the stall accountant attached (cycle-granular,
-      idle-skip forced off — priced against the *stepped* plain run so the
-      number isolates the accounting cost from the skipping loss).
+    * ``kanata`` — the pipeline-log writer attached;
+    * ``attribution`` — the stall accountant attached.
 
-    All five modes must agree on the cycle count bit-exactly; enabled-mode
-    overheads are reported but not gated (you asked for the data).
+    The gated pair runs one code path twice, so its samples are long and
+    interleaved: each sample runs the trace back to back on fresh cores,
+    built before its timer starts, for at least :data:`MIN_SAMPLE_S`, and
+    the two sides alternate sample by sample, each going first every other
+    round, so both see the same moments of host load.  Wall times are per
+    run.  All four modes must agree on the cycle count bit-exactly;
+    enabled-mode overheads are reported but not gated.
     """
     from repro.obs import KanataWriter, ObserverBus, StallAttributionAccountant
 
@@ -506,39 +459,39 @@ def bench_observability(config_name="SS-2way", repeats=3,
     label = isa_registry.for_config(probe).label_for_config(probe)
     trace = _trace_for(BENCH_WORKLOADS[workload], label)
 
-    def run_once(observer_factory, idle_skip=True):
-        core = OoOCore(factory())
-        observer = observer_factory() if observer_factory else None
+    def sample(observer_factory, runs=1):
+        """Run ``trace`` ``runs`` times; returns (stats, seconds per run)."""
+        cores = [OoOCore(factory()) for _ in range(runs)]
+        observers = [observer_factory() if observer_factory else None
+                     for _ in range(runs)]
         start = time.perf_counter()
-        stats = core.run(trace, idle_skip=idle_skip, observer=observer)
-        return stats, time.perf_counter() - start
+        for core, observer in zip(cores, observers):
+            stats = core.run(trace, observer=observer)
+        return stats, (time.perf_counter() - start) / runs
 
-    def best(runs):
-        return min(runs, key=lambda run: run[1])
+    def best(samples):
+        return min(samples, key=lambda run: run[1])
 
-    def timed(observer_factory, idle_skip=True):
-        return best([run_once(observer_factory, idle_skip)
-                     for _ in range(repeats)])
-
-    # The gated pair runs one code path twice (the engine drops an empty
-    # bus), so its repeats alternate, each side going first every other
-    # round: both see the same moments of host load.
+    # A first run, not counted, warms the engine up and sizes the samples.
+    _, single_s = sample(None)
+    runs = max(1, math.ceil(MIN_SAMPLE_S / single_s))
     plain_runs, empty_runs = [], []
     for round_index in range(repeats):
         order = [(plain_runs, None), (empty_runs, ObserverBus)]
         if round_index % 2:
             order.reverse()
-        for runs, observer_factory in order:
-            runs.append(run_once(observer_factory))
+        for samples, observer_factory in order:
+            samples.append(sample(observer_factory, runs))
     plain_stats, plain_s = best(plain_runs)
     empty_stats, empty_s = best(empty_runs)
-    stepped_stats, stepped_s = timed(None, idle_skip=False)
-    kanata_stats, kanata_s = timed(lambda: ObserverBus([KanataWriter()]))
-    attr_stats, attr_s = timed(
-        lambda: ObserverBus([StallAttributionAccountant()]))
+    kanata_stats, kanata_s = best(
+        [sample(lambda: ObserverBus([KanataWriter()]))
+         for _ in range(repeats)])
+    attr_stats, attr_s = best(
+        [sample(lambda: ObserverBus([StallAttributionAccountant()]))
+         for _ in range(repeats)])
     cycle_counts = {
         "plain": plain_stats.cycles,
-        "stepped": stepped_stats.cycles,
         "bus_empty": empty_stats.cycles,
         "kanata": kanata_stats.cycles,
         "attribution": attr_stats.cycles,
@@ -553,9 +506,9 @@ def bench_observability(config_name="SS-2way", repeats=3,
         "config": config_name,
         "cycles": plain_stats.cycles,
         "instructions": plain_stats.instructions,
+        "runs_per_sample": runs,
         "wall_s": {
             "plain": round(plain_s, 6),
-            "stepped": round(stepped_s, 6),
             "bus_empty": round(empty_s, 6),
             "kanata": round(kanata_s, 6),
             "attribution": round(attr_s, 6),
@@ -563,7 +516,7 @@ def bench_observability(config_name="SS-2way", repeats=3,
         "overhead_disabled_pct": round((empty_s - plain_s) / plain_s * 100, 2),
         "overhead_kanata_pct": round((kanata_s - plain_s) / plain_s * 100, 2),
         "overhead_attribution_pct": round(
-            (attr_s - stepped_s) / stepped_s * 100, 2),
+            (attr_s - plain_s) / plain_s * 100, 2),
     }
 
 
@@ -595,8 +548,8 @@ def bench_sweep(jobs=1, cache_dir=None, workloads=None):
     """Two-pass sweep over a reduced grid: cold fill, then warm from cache.
 
     Exercises the whole engine — compile-artifact cache, result cache,
-    pre-pass serving — and reports wall-clock, simulated/skipped cycles, and
-    cache hit/miss counts for both passes.  With ``cache_dir=None`` the
+    pre-pass serving — and reports wall-clock, simulated cycles, and cache
+    hit/miss counts for both passes.  With ``cache_dir=None`` the
     cache lives in a temporary directory that is deleted afterwards, so
     benchmarking never pollutes (or is flattered by) the user's real cache.
     """
@@ -646,16 +599,13 @@ def bench_sweep(jobs=1, cache_dir=None, workloads=None):
 
 def bench_smoke(config_name="SS-2way", repeats=3, workloads=None,
                 sweep_jobs=None):
-    """The full smoke benchmark across all (or the named) workloads."""
+    """The smoke benchmark over all (or the named) bench workloads."""
     names = list(workloads) if workloads else sorted(BENCH_WORKLOADS)
-    results = [bench_workload(name, config_name, repeats) for name in names]
     if sweep_jobs is None:
         sweep_jobs = min(2, os.cpu_count() or 1)
     return {
         "config": config_name,
         "repeats": repeats,
-        "workloads": results,
-        "best_speedup": max(r["speedup"] for r in results),
         "predecode": bench_predecode(names[0], repeats),
         "sweep": bench_sweep(jobs=sweep_jobs, workloads=names),
         "observability": bench_observability(config_name, repeats, names[0]),

@@ -18,7 +18,7 @@ only the windows are simulated cycle-accurately:
 * the **window** is the measured region: the engine snapshots cycle and
   counters when its commit count reaches the window's first and last
   instruction (commit marks), so the segment runs the plain, unobserved
-  engine path, event-driven cycle skipping included;
+  engine path;
 * **cooldown** instructions keep the pipeline fed past the last measured
   commit, killing the end-of-trace drain bias.
 

@@ -66,8 +66,8 @@ class SweepTask:
     ``attribution=True`` attaches a stall-attribution accountant
     (:mod:`repro.obs`) to the timing run; the payload then carries the
     per-bucket slot charges, and the result-cache key includes the flag so
-    attributed and plain runs never alias (the attributed run disables
-    idle-cycle skipping; its cycle counts are still bit-identical).
+    attributed and plain runs never alias (their cycle counts are
+    bit-identical).
     """
 
     __slots__ = ("task_id", "workload", "binary_label", "config",

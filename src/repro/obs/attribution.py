@@ -49,10 +49,9 @@ ATTRIBUTION_BUCKETS = (
 
 
 class StallAttributionAccountant(PipelineSink):
-    """Cycle-granular sink implementing the bucket taxonomy above."""
+    """Sink implementing the bucket taxonomy above, cycle by cycle."""
 
     name = "attribution"
-    cycle_granular = True
     STAT_FIELDS = ATTRIBUTION_BUCKETS
 
     def __init__(self):

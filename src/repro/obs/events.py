@@ -3,26 +3,17 @@
 The timing engine (:mod:`repro.uarch.pipeline`) publishes one event per
 lifecycle transition of every in-flight instruction — fetch, dispatch,
 issue, completion, commit, plus mispredict / recovery / replay-squash cause
-events — into an :class:`ObserverBus` that fans them out to attached
-:class:`PipelineSink` instances.  The bus follows the guardrail suite's
-contract exactly: the engine only calls it when one was attached *and* it
+events — and the end of every simulated cycle into an
+:class:`ObserverBus` that fans them out to attached :class:`PipelineSink`
+instances.  The engine only calls the bus when one was attached *and* it
 has at least one sink (``bus.active``), so the default path — no observer —
 executes the seed's exact instruction stream with zero added work beyond
 the existing ``is None`` checks.
 
-Two observation granularities exist:
-
-* **instruction-granular** sinks (the Kanata writer, the hot-region
-  profiler) consume lifecycle events only.  Lifecycle events can, by the
-  idle-skip invariant, only fire on executed cycles, so these sinks are
-  compatible with event-driven cycle skipping and timing stays
-  bit-identical with skipping enabled;
-* **cycle-granular** sinks (the top-down stall accountant) additionally
-  receive :meth:`PipelineSink.on_cycle_end` for *every* simulated cycle.
-  Attaching one force-disables idle-cycle skipping for that run — same
-  mechanism as guardrails — so every cycle is observed and per-cycle
-  accounting is conservative.  Cycle counts are still bit-identical
-  (skipping never changes timing, only wall-clock).
+The bus calls its sinks in attach order, hook by hook.  A guardrail suite
+(:class:`~repro.guardrails.GuardrailSuite`) is a sink too, attached last,
+so at each cycle end it checks what the other sinks (the stall
+accountant) just charged.
 """
 
 #: Lifecycle event kinds, in pipeline order.  Sinks that record generic
@@ -41,17 +32,9 @@ EVENT_KINDS = (
 
 
 class PipelineSink:
-    """Base class for event consumers; override only what you need.
-
-    ``cycle_granular = True`` declares that the sink needs
-    :meth:`on_cycle_end` for every simulated cycle; attaching such a sink
-    force-disables event-driven cycle skipping for the run (the engine
-    otherwise jumps over provably-idle cycles and the sink would observe a
-    compressed cycle stream).
-    """
+    """Base class for event consumers; override only what you need."""
 
     name = "sink"
-    cycle_granular = False
 
     def begin_run(self, core, state, sched):
         """Called once before the first cycle with the live engine state."""
@@ -87,7 +70,7 @@ class PipelineSink:
         """``seq`` retired."""
 
     def on_cycle_end(self, cycle):
-        """End of one simulated cycle (cycle-granular sinks only)."""
+        """End of simulated cycle ``cycle``; called for every cycle."""
 
     def end_run(self, stats):
         """Called once after the run with the final :class:`SimStats`."""
@@ -97,10 +80,9 @@ class ObserverBus:
     """Fans pipeline events out to attached sinks.
 
     The bus is deliberately dumb: it owns no policy, only sink lists.  The
-    per-kind fan-out lists are precomputed at attach time (mirroring the
-    guardrail suite's hook filtering) so a sink that ignores an event kind
-    costs nothing at that site, and ``on_cycle_end`` — the only per-cycle
-    call — touches cycle-granular sinks alone.
+    per-kind fan-out lists are precomputed at attach time so a sink that
+    ignores an event kind costs nothing at that site, and ``on_cycle_end``
+    — the only per-cycle call — touches only the sinks that override it.
     """
 
     def __init__(self, sinks=()):
@@ -137,11 +119,6 @@ class ObserverBus:
     def active(self):
         """False for an empty bus — the engine then drops it entirely."""
         return bool(self.sinks)
-
-    @property
-    def cycle_granular(self):
-        """True when any sink needs every cycle (disables idle skipping)."""
-        return any(sink.cycle_granular for sink in self.sinks)
 
     # -- engine-facing hooks -------------------------------------------------
 

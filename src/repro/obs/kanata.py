@@ -5,7 +5,7 @@ The Kanata format is the text log consumed by the Konata pipeline viewer
 tab-separated records where ``C=``/``C`` move the clock, ``I`` opens an
 instruction, ``L`` attaches labels, ``S``/``E`` begin and end a stage in a
 lane, ``W`` records a wakeup dependency, and ``R`` retires (or flushes) the
-instruction.  :class:`KanataWriter` is an instruction-granular
+instruction.  :class:`KanataWriter` is a
 :class:`~repro.obs.events.PipelineSink` that buffers lifecycle events per
 instruction and renders the log at the end of the run; :func:`parse_kanata`
 reads such a log back into the same canonical record structure the writer

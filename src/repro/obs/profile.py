@@ -1,15 +1,14 @@
 """PC-indexed hot-region profiler: where do the committed cycles go?
 
-An instruction-granular sink that counts commits and fetch→commit latency
+A sink that counts commits and fetch→commit latency
 per program counter, then maps each PC back through the linked program —
 ``labels`` give the enclosing region (nearest preceding label, i.e. the
 function or loop the assembler named), ``AsmUnit.origins`` give the source
 line when the program carries them (STRAIGHT binaries do; RISC-V programs
 without origins degrade gracefully to PC/label only).
 
-Unlike the attribution accountant this sink is compatible with idle-cycle
-skipping: it only consumes lifecycle events, so profiling adds no
-simulated-cycle cost.
+It consumes lifecycle events only, so profiling changes no simulated
+cycle.
 """
 
 from bisect import bisect_right

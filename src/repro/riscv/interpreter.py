@@ -79,17 +79,16 @@ class RiscvInterpreter:
         self.mnemonic_counts = {}
         #: Threaded-code fast path (None: baseline step_op loop) and the
         #: entry count at which one of its cold blocks compiles.  The
-        #: ``compiled`` argument overrides the ``STRAIGHT_FASTPATH`` global
-        #: toggle per instance: ``True`` compiles every block at its first
-        #: entry, ``None`` compiles a block once it is hot
+        #: ``compiled`` argument picks the policy per instance: ``True``
+        #: compiles every block at its first entry, ``None`` compiles a
+        #: block once it is hot
         #: (:data:`repro.fastpath.HOT_THRESHOLD` entries, counted over every
         #: run of the binary), ``False`` takes the baseline loop.  Block
         #: functions record no results, so a trace that keeps them takes
         #: the baseline loop.
         self._fast = None
         self._hot_threshold = 1 if compiled else fastpath.HOT_THRESHOLD
-        use_fast = fastpath.enabled() if compiled is None else compiled
-        if use_fast and not trace_values:
+        if (compiled is None or compiled) and not trace_values:
             self._fast = fastpath.compiled_for(program, "riscv")
 
     def begin_trace(self, values=False):

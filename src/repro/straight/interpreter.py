@@ -101,9 +101,9 @@ class StraightInterpreter:
         self.distance_hist = {}
         #: Threaded-code fast path (None: baseline step_op loop) and the
         #: entry count at which one of its cold blocks compiles.  The
-        #: ``compiled`` argument overrides the ``STRAIGHT_FASTPATH`` global
-        #: toggle per instance: ``True`` compiles every block at its first
-        #: entry, ``None`` compiles a block once it is hot
+        #: ``compiled`` argument picks the policy per instance: ``True``
+        #: compiles every block at its first entry, ``None`` compiles a
+        #: block once it is hot
         #: (:data:`repro.fastpath.HOT_THRESHOLD` entries, counted over every
         #: run of the binary), ``False`` takes the baseline loop.  The
         #: circular file must also be at least ``min_mrp`` registers for the
@@ -112,8 +112,7 @@ class StraightInterpreter:
         #: keeps them takes the baseline loop.
         self._fast = None
         self._hot_threshold = 1 if compiled else fastpath.HOT_THRESHOLD
-        use_fast = fastpath.enabled() if compiled is None else compiled
-        if use_fast and not trace_values:
+        if (compiled is None or compiled) and not trace_values:
             fast = fastpath.compiled_for(program, "straight")
             if self.max_rp >= fast.min_mrp:
                 self._fast = fast

@@ -3,7 +3,3 @@
 Installed as the ``straight`` console script (see pyproject.toml), or run
 with ``python -m repro.tools.cli``.
 """
-
-from repro.tools.cli import main
-
-__all__ = ["main"]

@@ -13,7 +13,7 @@ Subcommands::
     straight experiments fig11 fig16                  # regenerate figures
     straight guardrails --workload dhrystone          # lockstep smoke run
     straight guardrails --faults 100 --seed 7         # fault campaign
-    straight bench --smoke --json bench.json          # simulator throughput
+    straight bench --smoke --json bench.json          # simulator benchmarks
     straight isa list                                 # registered ISAs
     straight isa density --json                       # bits/instruction report
 
@@ -546,7 +546,7 @@ def cmd_profile(args):
 
 
 def cmd_bench(args):
-    """Simulator-throughput smoke benchmark (stepped vs. event-driven)."""
+    """Simulator smoke benchmark: predecode, observability, sweep/cache."""
     from repro.harness.bench import (
         BENCH_WORKLOADS,
         bench_fastpath,
@@ -651,11 +651,6 @@ def _bench_sweep_summary(report):
         "grid": report["sweep"]["grid"],
         "wall_s": {p["pass"]: p["wall_s"] for p in passes},
         "cycles_simulated": {p["pass"]: p["cycles_simulated"] for p in passes},
-        # Idle-skip split of the stepped-vs-event section (the sweep's
-        # results are cache-portable payloads, which carry no engine
-        # internals).
-        "cycles_skipped": sum(w["skipped_cycles"] for w in report["workloads"]),
-        "cycles_executed": sum(w["executed_cycles"] for w in report["workloads"]),
         "cache": {p["pass"]: p["cache"] for p in passes},
         "results_from_cache": {
             p["pass"]: p["results_from_cache"] for p in passes
@@ -663,7 +658,6 @@ def _bench_sweep_summary(report):
         "warm_hit_rate": passes[-1]["result_hit_rate"],
         "warm_speedup": report["sweep"]["warm_speedup"],
         "predecode_speedup": report["predecode"]["speedup"],
-        "event_engine_best_speedup": report["best_speedup"],
     }
 
 
@@ -918,8 +912,8 @@ def build_parser():
                             help="compile every block at its first entry")
     fast_flags.add_argument("--no-compiled", dest="compiled",
                             action="store_const", const=False,
-                            help="force the baseline step loop (overrides "
-                                 "STRAIGHT_FASTPATH)")
+                            help="force the baseline step loop (default: "
+                                 "compile blocks once hot)")
     p_run.add_argument("--sampled", action="store_true",
                        help="sampled timing run (SMARTS-style): fast-forward "
                             "on the compiled interpreter between "
@@ -1079,10 +1073,10 @@ def build_parser():
 
     p_bench = sub.add_parser(
         "bench",
-        help="simulator-throughput benchmark (stepped vs. event-driven)",
+        help="simulator benchmarks (predecode, observability, sweep/cache)",
     )
     p_bench.add_argument("--smoke", action="store_true",
-                         help="run the small stall-heavy workload set")
+                         help="run the small bench workload set")
     p_bench.add_argument("--core", default="SS-2way",
                          help="Table I core name")
     p_bench.add_argument("--repeats", type=int, default=3,

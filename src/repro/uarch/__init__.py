@@ -5,7 +5,7 @@ The paper's two in-house simulators "share common codes for the most part"
 differences live in the front end (rename vs. RP-based operand
 determination) and in recovery (ROB walk vs. single ROB-entry read).  This
 package mirrors that: one timing engine — per-core structures in
-:mod:`.core`, stage components and the event-driven clock in
+:mod:`.core`, stage components and the stepping clock in
 :mod:`.pipeline` / :mod:`.scheduler`, counters in :mod:`.stats` — pluggable
 front-end models (:mod:`.frontend_models`), and shared branch predictors,
 caches, and load-store queue.

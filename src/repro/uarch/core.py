@@ -20,9 +20,9 @@ DESIGN.md).
 This module owns the per-core structures that persist across runs (caches,
 predictors, LSQ, front-end model) and the public ``run`` entry point.  The
 cycle-by-cycle machinery lives in :mod:`repro.uarch.pipeline` as explicit
-stage components driven by an event scheduler (:mod:`repro.uarch.scheduler`)
-that skips provably-idle cycles; :class:`~repro.uarch.stats.SimStats` and
-its :class:`~repro.uarch.stats.StatsRegistry` are re-exported here for
+stage components driven by a clock (:mod:`repro.uarch.scheduler`) that
+steps through every cycle; :class:`~repro.uarch.stats.SimStats` and its
+:class:`~repro.uarch.stats.StatsRegistry` are re-exported here for
 backwards compatibility.
 """
 
@@ -37,17 +37,10 @@ __all__ = ["OoOCore", "SimStats", "StatsRegistry", "default_registry"]
 
 
 class OoOCore:
-    """One configured core; ``run(trace)`` returns :class:`SimStats`.
+    """One configured core; ``run(trace)`` returns :class:`SimStats`."""
 
-    ``guardrails`` is an optional :class:`~repro.guardrails.GuardrailSuite`;
-    when ``None`` (the default) no hook is consulted and the run takes the
-    exact fast path — including event-driven cycle skipping — so cycle
-    counts are identical to a guardrail-free build.
-    """
-
-    def __init__(self, config, guardrails=None):
+    def __init__(self, config):
         self.config = config
-        self.guardrails = guardrails
         self.stats = SimStats()
         self.hierarchy = config.build_hierarchy()
         self.predictor = make_predictor(config.predictor)
@@ -115,16 +108,13 @@ class OoOCore:
 
     # ------------------------------------------------------------------ run --
 
-    def run(self, trace, max_cycles=200_000_000, warm=False, idle_skip=True,
-            observer=None, marks=()):
+    def run(self, trace, max_cycles=200_000_000, warm=False, observer=None,
+            marks=()):
         """Simulate ``trace`` to completion and return the stats.
 
-        ``idle_skip=False`` forces cycle-by-cycle stepping (benchmarks use
-        it to measure the event-driven speedup); attaching a guardrail suite
-        disables skipping regardless, so per-cycle hooks see every cycle.
-        ``observer`` is an optional :class:`~repro.obs.ObserverBus`; an empty
-        or ``None`` bus leaves the hot path untouched, and a bus with a
-        cycle-granular sink (the stall accountant) also disables skipping.
+        ``observer`` is an optional :class:`~repro.obs.ObserverBus` of
+        pipeline sinks, a :class:`~repro.guardrails.GuardrailSuite` among
+        them; an empty or ``None`` bus leaves the hot path untouched.
         ``marks`` are commit counts; ``self.engine.marked`` then holds one
         ``(cycle, counters)`` snapshot per mark reached, in mark order.
         """
@@ -136,8 +126,6 @@ class OoOCore:
         self.frontend.reset_run()
         from repro.uarch.pipeline import TimingEngine
 
-        self.engine = TimingEngine(
-            self, trace, guardrails=self.guardrails, idle_skip=idle_skip,
-            observer=observer, marks=marks,
-        )
+        self.engine = TimingEngine(self, trace, observer=observer,
+                                   marks=marks)
         return self.engine.run(max_cycles)

@@ -1,4 +1,4 @@
-"""Stage-decomposed timing engine with an event-driven, cycle-skipping clock.
+"""Stage-decomposed timing engine stepping one cycle at a time.
 
 This replaces the seed's monolithic ``OoOCore._run`` closure with explicit
 pipeline-stage components that communicate through one typed
@@ -6,8 +6,8 @@ pipeline-stage components that communicate through one typed
 
 * :class:`CompletionStage` — retires completion events, wakes issue-queue
   consumers, resolves awaited branches and charges recovery stalls;
-* :class:`CommitStage` — in-order commit at commit width, guardrail commit
-  hooks, LSQ deallocation, counter snapshots at requested commit counts;
+* :class:`CommitStage` — in-order commit at commit width, LSQ
+  deallocation, counter snapshots at requested commit counts;
 * :class:`IssueStage` — wakeup-select with per-class ports, LSQ issue
   (forwarding / memory-dependence waits / violation replays);
 * :class:`DispatchStage` — ROB/IQ/LSQ structural stalls, front-end model
@@ -24,19 +24,15 @@ Stages read the replayed trace through the program's static timing table
 come from the successor's PC, and STRAIGHT producer tags are trace
 positions minus source distances.
 
-The clock is an :class:`~repro.uarch.scheduler.EventScheduler`.  Every
-stage implements ``can_tick()`` (could it make progress or count a stall
-*this* cycle?) and ``next_wake()`` (the earliest future cycle at which it
-could, when that cycle is not already a key of the state's ``events`` or
-``ready_buckets``).  When every stage is idle the engine jumps the clock to
-the earliest of those cycles instead of stepping cycle-by-cycle, which is
-where the wall-clock speedup on stall-heavy traces comes from.  Guardrailed
-runs never jump, so per-cycle hooks observe every cycle.
+The clock is an :class:`~repro.uarch.scheduler.EventScheduler` that steps
+through every cycle; the run loop calls a stage only on cycles where it
+can act.  Stages publish their lifecycle events, and the engine its cycle
+ends, to one optional :class:`~repro.obs.ObserverBus`; a guardrail suite
+is one more sink on it.
 """
 
 from collections import deque
 from heapq import heappop, heappush
-from itertools import chain
 
 from repro.common.errors import SimulationError
 from repro.common.trace import OP_CLASSES
@@ -57,8 +53,7 @@ from repro.uarch.lsq import LoadStoreQueue
 class _RobEntry:
     """One ROB slot, refilled by every dispatch that lands in it.
     ``ready_at`` is its result cycle, ``None`` until issue.  ``entry`` is
-    what guards see: the static record, or — on guarded runs — the full
-    :class:`~repro.common.trace.TraceEntry`."""
+    the instruction's static record (:class:`~repro.isa.timing.StaticOp`)."""
 
     __slots__ = ("seq", "entry", "done", "ready_at")
 
@@ -74,8 +69,8 @@ class PipelineState:
 
     The seed engine held these as closure-local variables; making them
     attributes of one shared object is what lets stages be separate
-    components and lets guardrail checkers observe stage-boundary state
-    without reaching into closures.
+    components and lets observers (guardrail checkers among them) read
+    stage-boundary state without reaching into closures.
 
     Instructions are named by their trace position ``seq``, and ``ops``
     holds each position's static record
@@ -92,8 +87,7 @@ class PipelineState:
 
     ``events`` and ``ready_buckets`` lists are only ever created for future
     cycles and are popped when the clock reaches their cycle, so their keys
-    are exactly the pending completion and readiness cycles: the candidates
-    the clock may jump to.
+    are exactly the pending completion and readiness cycles.
     """
 
     __slots__ = (
@@ -182,39 +176,26 @@ class PipelineState:
 class PipelineStage:
     """Base class: one pipeline stage ticking against the shared state.
 
-    ``tick()`` performs this cycle's work.  ``can_tick()`` answers whether
-    the stage could make progress — or count a stall — at the scheduler's
-    current cycle; it must err on the side of ``True``, since a wrongly-idle
-    verdict would let the clock jump over an observable cycle.
-    ``next_wake()`` names the earliest future cycle the stage could act at
-    when that cycle is *not* a key of the state's ``events`` or
-    ``ready_buckets`` (front-end pipe readiness, fetch resumption, rename
-    unblocking).
+    ``tick()`` performs this cycle's work; the run loop calls it only on
+    cycles where the stage can act (see :meth:`TimingEngine.run`).
     """
 
     name = "stage"
     STAT_FIELDS = ()
 
-    def __init__(self, core, state, sched, stats, guard=None, obs=None):
+    def __init__(self, core, state, sched, stats, obs=None):
         self.core = core
         self.cfg = core.config
         self.state = state
         self.sched = sched
         self.stats = stats
-        self.guard = guard
         # Observer bus (repro.obs) or None; stages publish lifecycle events
-        # behind the same ``is not None`` pattern the guard hooks use, so an
-        # unobserved run pays nothing beyond the existing-style checks.
+        # behind an ``is not None`` check, so an unobserved run pays
+        # nothing more.
         self.obs = obs
 
     def tick(self):
         raise NotImplementedError
-
-    def can_tick(self):
-        return True
-
-    def next_wake(self):
-        return None
 
 
 class CompletionStage(PipelineStage):
@@ -283,9 +264,6 @@ class CompletionStage(PipelineStage):
         if self.obs is not None:
             self.obs.on_recovery(seq, state.ops[seq], cycle, blocked)
 
-    def can_tick(self):
-        return self.sched.cycle in self.state.events
-
 
 class CommitStage(PipelineStage):
     """In-order commit at commit width, and the run's commit marks.
@@ -323,7 +301,6 @@ class CommitStage(PipelineStage):
     def tick(self):
         state = self.state
         cycle = self.sched.cycle
-        guard = self.guard
         obs = self.obs
         lsq = self.core.lsq
         ops = state.ops
@@ -337,8 +314,6 @@ class CommitStage(PipelineStage):
             if not head.done:
                 break
             op = ops[seq]
-            if guard is not None:
-                guard.on_commit(head, cycle)
             if obs is not None:
                 obs.on_commit(seq, op, cycle)
             if op.dest is not None:
@@ -353,10 +328,6 @@ class CommitStage(PipelineStage):
             self.core.frontend.on_commit(freed)
         if state.committed >= self.next_mark:
             self.record_marks(cycle)
-
-    def can_tick(self):
-        head = self.state.rob_head()
-        return head is not None and head.done
 
 
 class IssueStage(PipelineStage):
@@ -493,10 +464,6 @@ class IssueStage(PipelineStage):
                 state.fetch_resume = resume
         return latency
 
-    def can_tick(self):
-        state = self.state
-        return bool(state.ready_heap) or self.sched.cycle in state.ready_buckets
-
 
 class DispatchStage(PipelineStage):
     """Structural stalls, front-end rename/operand-determination, wakeup."""
@@ -514,7 +481,6 @@ class DispatchStage(PipelineStage):
         if not pipe or pipe[0] > cycle:
             return
         cfg = self.cfg
-        guard = self.guard
         obs = self.obs
         ops = state.ops
         rob_slots = state.rob_slots
@@ -550,13 +516,9 @@ class DispatchStage(PipelineStage):
                 spadds += 1
             rob_entry = rob_slots[seq & mask]
             rob_entry.seq = seq
+            rob_entry.entry = op
             rob_entry.done = is_nop
             rob_entry.ready_at = None
-            if guard is None:
-                rob_entry.entry = op
-            else:
-                rob_entry.entry = state.trace.entry(seq)
-                guard.on_dispatch(seq, rob_entry.entry, cycle)
             if obs is not None:
                 obs.on_dispatch(seq, op, cycle,
                                 [tag for tag in tags if tag is not None])
@@ -617,22 +579,6 @@ class DispatchStage(PipelineStage):
             state.store_addr[seq] = addr
             self.core.lsq.add_store(seq)
             self.stats.stores += 1
-
-    def can_tick(self):
-        state = self.state
-        cycle = self.sched.cycle
-        if cycle < state.rename_blocked_until:
-            return False
-        pipe = state.pipe
-        return bool(pipe) and pipe[0] <= cycle
-
-    def next_wake(self):
-        state = self.state
-        if not state.pipe:
-            return None
-        ready_at = state.pipe[0]
-        blocked_until = state.rename_blocked_until
-        return ready_at if ready_at > blocked_until else blocked_until
 
 
 class FetchStage(PipelineStage):
@@ -753,18 +699,6 @@ class FetchStage(PipelineStage):
             return False, True, self.cfg.btb_miss_penalty
         return False, actual_taken, 0
 
-    def can_tick(self):
-        state = self.state
-        return (state.awaiting_branch is None
-                and self.sched.cycle >= state.fetch_resume
-                and state.fetch_idx < state.n)
-
-    def next_wake(self):
-        state = self.state
-        if state.awaiting_branch is not None or state.fetch_idx >= state.n:
-            return None  # resumption rides on a completion event
-        return state.fetch_resume
-
 
 class TimingEngine:
     """Wires the five stages to one state object and one clock.
@@ -772,20 +706,17 @@ class TimingEngine:
     One engine instance drives one ``run``; the owning
     :class:`~repro.uarch.core.OoOCore` holds the cross-run structures
     (predictor, caches, LSQ, front-end model) that stages reach through
-    ``core``.  ``idle_skip=False`` forces seed-style cycle-by-cycle stepping
-    (used by benchmarks to measure the skip win, and implied whenever a
-    guardrail suite is attached).  ``marks`` are commit counts: ``marked``
-    holds one ``(cycle, counters)`` snapshot per mark the run reached (see
-    :class:`CommitStage`).
+    ``core``.  ``observer`` is an optional
+    :class:`~repro.obs.ObserverBus`.  ``marks`` are commit counts:
+    ``marked`` holds one ``(cycle, counters)`` snapshot per mark the run
+    reached (see :class:`CommitStage`).
     """
 
     #: assigned once, at the end of a run
     STAT_FIELDS = ("cycles", "instructions")
 
-    def __init__(self, core, trace, guardrails=None, idle_skip=True,
-                 observer=None, marks=()):
+    def __init__(self, core, trace, observer=None, marks=()):
         self.core = core
-        self.guard = guardrails
         # Normalize an empty bus to None: the stages then skip even the
         # ``is not None`` publish checks' bodies, and the run is exactly the
         # unobserved hot path.
@@ -797,24 +728,12 @@ class TimingEngine:
         from repro.uarch.scheduler import EventScheduler
 
         self.sched = EventScheduler()
-        # Guardrailed runs step every cycle so per-cycle hooks (watchdog,
-        # fault schedules, periodic deep scans) observe the exact cadence
-        # the seed engine gave them.  Cycle-granular observers (the stall
-        # accountant) need the same: on_cycle_end must fire once per
-        # simulated cycle for slot accounting to be conservative.
-        # Instruction-granular sinks keep skipping — by the idle-skip
-        # invariant no lifecycle event can fire on a jumped-over cycle.
-        self.idle_skip = (idle_skip and guardrails is None
-                          and (obs is None or not obs.cycle_granular))
         args = (core, self.state, self.sched, core.stats)
         self.completion = CompletionStage(*args, obs=obs)
-        self.commit = CommitStage(*args, guard=guardrails, obs=obs,
-                                  marks=marks)
+        self.commit = CommitStage(*args, obs=obs, marks=marks)
         self.issue = IssueStage(*args, obs=obs)
-        self.dispatch = DispatchStage(*args, guard=guardrails, obs=obs)
+        self.dispatch = DispatchStage(*args, obs=obs)
         self.fetch = FetchStage(*args, obs=obs)
-        self.stages = (self.completion, self.commit, self.issue,
-                       self.dispatch, self.fetch)
         self.marked = self.commit.marked
 
     def run(self, max_cycles=200_000_000):
@@ -825,48 +744,26 @@ class TimingEngine:
         if n == 0:
             return stats
         sched = self.sched
-        guard = self.guard
         obs = self.obs
-        if guard is not None:
-            guard.begin_run(core=self.core, state=state, sched=sched)
         if obs is not None:
             obs.begin_run(self.core, state, sched)
 
-        completion, commit, issue, dispatch, fetch = self.stages
-        complete_tick = completion.tick
-        commit_tick = commit.tick
-        issue_tick = issue.tick
-        dispatch_tick = dispatch.tick
-        fetch_tick = fetch.tick
+        complete_tick = self.completion.tick
+        commit_tick = self.commit.tick
+        issue_tick = self.issue.tick
+        dispatch_tick = self.dispatch.tick
+        fetch_tick = self.fetch.tick
         events = state.events
         ready_buckets = state.ready_buckets
         ready_heap = state.ready_heap
         pipe = state.pipe
         rob_slots = state.rob_slots
         mask = state.ring_mask
-        idle_skip = self.idle_skip
         while state.committed < n:
-            # The cheap pre-filter first: a non-empty ready heap or front-end
-            # pipe almost always means some stage can act, and reading two
-            # attributes costs far less per executed cycle than five
-            # can_tick() calls.  Only quiet windows (both empty) pay for the
-            # full stage-by-stage idleness check.
-            if (idle_skip
-                    and not ready_heap
-                    and not pipe
-                    and not (
-                        completion.can_tick()
-                        or commit.can_tick()
-                        or issue.can_tick()
-                        or dispatch.can_tick()
-                        or fetch.can_tick()
-                    )):
-                self._skip_to_next_event(max_cycles)
-                continue
-            # Each stage runs only when its can_tick() predicate holds —
-            # inlined here, in stage order, on the state the earlier stages
-            # of this cycle left behind — since a tick that fails the
-            # predicate returns without effect.
+            # Each stage runs only on a cycle where it can act — checked
+            # here, in stage order, on the state the earlier stages of this
+            # cycle left behind — since a tick that fails its check returns
+            # without effect.
             cycle = sched.cycle
             if cycle in events:
                 complete_tick()
@@ -882,12 +779,8 @@ class TimingEngine:
                     and cycle >= state.fetch_resume
                     and state.fetch_idx < n):
                 fetch_tick()
-            # Observer cycle-end precedes the guard hook so the attribution
-            # conservation checker sees this cycle's fresh charges.
             if obs is not None:
-                obs.on_cycle_end(sched.cycle)
-            if guard is not None:
-                guard.on_cycle()
+                obs.on_cycle_end(cycle)
             sched.advance()
             if sched.cycle > max_cycles:
                 raise self._exceeded(max_cycles)
@@ -896,40 +789,9 @@ class TimingEngine:
         stats.instructions = n
         stats.cache_stats = self.core.hierarchy.stats()
         stats.predictor_accuracy = self.core.predictor.accuracy
-        # Sinks flush before the guard's end-of-run pass so final-state
-        # checkers (attribution conservation) see the exported buckets.
         if obs is not None:
             obs.end_run(stats)
-        if guard is not None:
-            guard.end_run(stats)
         return stats
-
-    # -- cycle skipping ------------------------------------------------------
-
-    def _skip_to_next_event(self, max_cycles):
-        """Jump the clock to the next cycle at which any stage can act.
-
-        Candidates are the pending completion and ready-bucket cycles (the
-        keys of ``events`` and ``ready_buckets``) plus the stage-computed
-        wakes: front-end pipe readiness / rename unblocking (dispatch) and
-        fetch resumption (fetch).  Idle-skip invariant: every candidate is
-        strictly in the future — a key leaves its dict in the cycle it
-        names, and the engine only skips when neither dict holds the
-        current cycle — and no statistic can change on the cycles jumped
-        over.
-        """
-        sched = self.sched
-        state = self.state
-        wakes = (self.dispatch.next_wake(), self.fetch.next_wake())
-        target = min(chain(state.events, state.ready_buckets,
-                           (wake for wake in wakes if wake is not None)),
-                     default=None)
-        if target is None or target > max_cycles:
-            # The seed engine would have idled cycle-by-cycle up to the
-            # budget and raised there; reproduce that exactly.
-            sched.jump(max_cycles + 1)
-            raise self._exceeded(max_cycles)
-        sched.jump(target)
 
     def _exceeded(self, max_cycles):
         state = self.state

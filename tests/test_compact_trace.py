@@ -14,6 +14,7 @@ from repro import isa as isa_registry
 from repro.core.api import build
 from repro.core.configs import ALL_CORES
 from repro.guardrails import build_guardrails
+from repro.obs import ObserverBus
 from repro.riscv import RiscvInterpreter
 from repro.riscv import link_program as link_riscv
 from repro.riscv import parse_assembly as parse_riscv
@@ -186,9 +187,8 @@ class TestSchedulerPruning:
         assert state.ready_buckets == {}
 
     def test_schedule_drops_passed_cycles(self, small_binaries, monkeypatch):
-        """On a core that never skips, a cycle leaves ``events`` and
-        ``ready_buckets`` before the clock passes it, so no passed cycle is
-        ever pending."""
+        """A cycle leaves ``events`` and ``ready_buckets`` before the clock
+        passes it, so no passed cycle is ever pending."""
         from repro.uarch.scheduler import EventScheduler
 
         interp = small_binaries["bb"].interpreter(collect_trace=True)
@@ -206,7 +206,7 @@ class TestSchedulerPruning:
             advance(sched)
 
         monkeypatch.setattr(EventScheduler, "advance", advance_checked)
-        stats = core.run(interp.trace, idle_skip=False)
+        stats = core.run(interp.trace)
         assert stats.cycles == len(checked) == 2739
         assert core.engine.sched.skipped_cycles == 0
         assert max(checked) > 0
@@ -220,4 +220,4 @@ class TestLockstepNeedsValues:
         config = ALL_CORES["STRAIGHT-2way"]()
         suite = build_guardrails(config, binary=binary)
         with pytest.raises(ValueError, match="trace_values"):
-            OoOCore(config, guardrails=suite).run(interp.trace)
+            OoOCore(config).run(interp.trace, observer=ObserverBus([suite]))

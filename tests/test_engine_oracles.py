@@ -26,6 +26,7 @@ import pytest
 from repro import isa as isa_registry
 from repro.core.api import build, simulate
 from repro.core.configs import ALL_CORES
+from repro.uarch.core import OoOCore
 from tests.test_golden_snapshots import WORKLOADS, _flatten
 
 HERE = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -153,14 +154,18 @@ class TestExtraSimStats:
                                  f"{observed.get(field)!r}")
         assert not drift, "timing drift:\n" + "\n".join(drift)
 
-    def test_baseline_interpreter_gives_the_same_stats(self, monkeypatch):
-        """``STRAIGHT_FASTPATH=0`` runs reproduce the pinned cells."""
-        monkeypatch.setenv("STRAIGHT_FASTPATH", "0")
+    def test_baseline_interpreter_gives_the_same_stats(self):
+        """Traces the ``compiled=False`` interpreter records reproduce the
+        pinned cells."""
         golden = _load(SIMSTATS_FIXTURE)
+        binaries = build(WORKLOADS["branchy_div"]).all()
         for core, label, warm in SIM_CELLS[2:]:
             cell = f"{_cell_key(core, label, warm)}/branchy_div"
-            observed = _sim_cell(WORKLOADS["branchy_div"], core, label, warm)
-            assert _flatten(observed) == _flatten(golden[cell]), cell
+            interp = binaries[label].interpreter(collect_trace=True,
+                                                 compiled=False)
+            assert interp.run(50_000_000).status in ("halt", "exit")
+            stats = OoOCore(ALL_CORES[core]()).run(interp.trace, warm=warm)
+            assert _flatten(stats.as_dict()) == _flatten(golden[cell]), cell
 
 
 class TestTraceDigests:

@@ -127,14 +127,6 @@ class TestPlumbing:
             assert binary.interpreter(compiled=True)._fast is not None, label
             assert binary.interpreter(compiled=False)._fast is None, label
 
-    def test_env_kill_switch(self, binaries, monkeypatch):
-        monkeypatch.setenv("STRAIGHT_FASTPATH", "0")
-        assert not fastpath.enabled()
-        binary = binaries["STRAIGHT-RE+"]
-        assert binary.interpreter()._fast is None
-        # The per-instance override still wins over the environment.
-        assert binary.interpreter(compiled=True)._fast is not None
-
     def test_compile_is_memoized_per_program(self, binaries):
         for label, binary in binaries.items():
             first = fastpath.compiled_for(binary.program, binary.isa)

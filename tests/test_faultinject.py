@@ -17,6 +17,7 @@ from repro.guardrails.faultinject import (
     run_campaign,
     run_functional_with_fault,
 )
+from repro.obs import ObserverBus
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ class TestSingleFaults:
         from repro.uarch.core import OoOCore
 
         with pytest.raises((GuardrailError, ReproError)):
-            OoOCore(config, guardrails=suite).run(interp.trace)
+            OoOCore(config).run(interp.trace, observer=ObserverBus([suite]))
             suite.finish(interp.output)
 
     def test_written_seq_flip_caught_by_distance_validation(
@@ -74,7 +75,7 @@ class TestSingleFaults:
             suite = build_guardrails(config, binary=campaign_binary)
             from repro.uarch.core import OoOCore
 
-            OoOCore(config, guardrails=suite).run(interp.trace)
+            OoOCore(config).run(interp.trace, observer=ObserverBus([suite]))
             suite.finish(interp.output)
 
     def test_predictor_flip_caught_by_state_sweep(self, campaign_binary):
@@ -89,7 +90,7 @@ class TestSingleFaults:
         from repro.uarch.core import OoOCore
 
         with pytest.raises(GuardrailError, match="counter"):
-            OoOCore(config, guardrails=suite).run(interp.trace)
+            OoOCore(config).run(interp.trace, observer=ObserverBus([suite]))
             suite.finish(interp.output)
 
     def test_rob_seq_flip_caught(self, campaign_binary):
@@ -105,7 +106,7 @@ class TestSingleFaults:
         # The engine never reads a slot's seq, so anything but a checker's
         # GuardrailError (a KeyError, an IndexError) would be a checker gap.
         with pytest.raises(GuardrailError):
-            OoOCore(config, guardrails=suite).run(interp.trace)
+            OoOCore(config).run(interp.trace, observer=ObserverBus([suite]))
             suite.finish(interp.output)
 
 

@@ -31,6 +31,7 @@ from repro.guardrails.checkers import (
 )
 from repro.guardrails.crashdump import write_crash_dump, write_manifest
 from repro.harness.runner import clear_cache, deadline, timed_run
+from repro.obs import ObserverBus
 from tests.conftest import SMALL_PROGRAM_OUTPUT
 
 
@@ -364,7 +365,7 @@ class TestEndToEnd:
         config = straight_2way()
         suite = build_guardrails(config, binary=binary)
         with pytest.raises(DivergenceError) as info:
-            OoOCore(config, guardrails=suite).run(entries)
+            OoOCore(config).run(entries, observer=ObserverBus([suite]))
         err = info.value
         assert err.context["field"] == "dest_value"
         assert err.context["expected"] != err.context["observed"]
@@ -383,7 +384,7 @@ class TestEndToEnd:
         config = ss_2way()
         suite = build_guardrails(config, binary=binary)
         with pytest.raises(DivergenceError) as info:
-            OoOCore(config, guardrails=suite).run(entries)
+            OoOCore(config).run(entries, observer=ObserverBus([suite]))
         assert info.value.context["field"] in ("pc", "next_pc")
 
     def test_watchdog_trips_on_wedged_rob(self, small_build):
@@ -400,7 +401,7 @@ class TestEndToEnd:
             injector=TimingFaultInjector(FaultSpec("rob_done_clear", cycle=40)),
         )
         with pytest.raises(DeadlockError) as info:
-            OoOCore(config, guardrails=suite).run(interp.trace)
+            OoOCore(config).run(interp.trace, observer=ObserverBus([suite]))
         assert info.value.occupancy["rob"] > 0
 
 

@@ -60,13 +60,6 @@ class TestObserverBus:
     def test_empty_bus_inactive(self):
         bus = ObserverBus()
         assert not bus.active
-        assert not bus.cycle_granular
-
-    def test_cycle_granularity_comes_from_sinks(self):
-        assert not ObserverBus([KanataWriter()]).cycle_granular
-        assert ObserverBus([StallAttributionAccountant()]).cycle_granular
-        assert ObserverBus(
-            [KanataWriter(), StallAttributionAccountant()]).cycle_granular
 
     def test_fanout_skips_unimplemented_hooks(self):
         class OnlyCommit(PipelineSink):
@@ -177,6 +170,16 @@ class TestAttribution:
                           observer=ObserverBus([accountant]))
         assert result.guardrail_report is not None
         assert "stall-attribution" in result.guardrail_report["checkers"]
+        assert accountant.conserved()
+
+    def test_guarded_run_leaves_the_callers_bus_alone(self, small_build):
+        """The suite runs on a bus of its own, after the caller's sinks."""
+        accountant = StallAttributionAccountant()
+        bus = ObserverBus([accountant])
+        result = simulate(small_build.all()["SS"], TABLE1["SS-2way"](),
+                          warm_caches=True, guardrails=True, observer=bus)
+        assert result.guardrail_report is not None
+        assert bus.sinks == [accountant]
         assert accountant.conserved()
 
     def test_checker_rejects_bad_charges(self):

@@ -1,28 +1,28 @@
-"""Event-driven engine tests: scheduler, cycle skipping, bounded bookkeeping.
+"""Stage engine tests: the clock, bounded bookkeeping, the stats registry.
 
 The cycle-exactness of the stage-decomposed engine against the seed is
-pinned by ``tests/test_golden_snapshots.py``; this file covers the new
-machinery itself: the clock's jump semantics, the skip target (the
-earliest pending cycle, always in the future), the idle-skip invariant
-(identical stats with and without skipping, with a nonzero skip count on
-stall-heavy code), the ROB-sized in-flight window and its ring, and the
-:class:`~repro.uarch.stats.StatsRegistry` contribution rules.
+pinned by ``tests/test_golden_snapshots.py``; this file covers the
+machinery itself: pending cycles leave the state's dicts in the cycle they
+name, the clock steps through every cycle, a ``max_cycles`` overrun raises
+at the same cycle with or without an observer, the ROB-sized in-flight
+window and its ring, and the :class:`~repro.uarch.stats.StatsRegistry`
+contribution rules.
 """
 
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.core.api import build
-from repro.core.configs import ss_2way, straight_2way
+from repro.core.configs import ss_2way
 from repro.guardrails.suite import GuardrailSuite, InvariantChecker
+from repro.obs import ObserverBus, RecordingSink
 from repro.uarch.core import OoOCore, SimStats, default_registry
 from repro.uarch.pipeline import TimingEngine
-from repro.uarch.scheduler import EventScheduler
 from repro.uarch.stats import StatsRegistry
 
 # Deep serial division chain feeding data-dependent branches: mispredicts
-# park fetch behind long-latency resolution, so the machine has long
-# provably-idle windows — the cycle skipper's best case.
+# park fetch behind long-latency resolution, so the machine has long idle
+# windows.
 STALL_HEAVY = """
 int main() {
     int acc = 999999999;
@@ -52,7 +52,7 @@ def _trace(source, label="SS"):
 
 
 def _idle_engine(small_build):
-    """An engine over a real trace with no stage-computed wake: the front-end
+    """An engine over a real trace with nothing in flight: the front-end
     pipe is empty and fetch has run off the end of the trace."""
     interp = small_build.riscv.interpreter(collect_trace=True)
     interp.run(1_000_000)
@@ -61,125 +61,65 @@ def _idle_engine(small_build):
     return engine
 
 
+def _step_to(engine, target):
+    """Step the clock to ``target``, completing each passed cycle's events
+    as the run loop does."""
+    while engine.sched.cycle < target:
+        if engine.sched.cycle in engine.state.events:
+            engine.completion.tick()
+        engine.sched.advance()
+
+
 class TestEventScheduler:
-    def test_jump_counts_skipped_cycles(self):
-        sched = EventScheduler()
-        sched.advance()
-        sched.jump(11)
-        assert sched.cycle == 11
-        assert sched.executed_cycles == 1
-        assert sched.skipped_cycles == 10
-
-    def test_jump_must_move_forward(self):
-        sched = EventScheduler()
-        sched.jump(4)
-        with pytest.raises(ValueError):
-            sched.jump(4)
-        with pytest.raises(ValueError):
-            sched.jump(2)
-
     def test_next_event_drops_stale_entries(self, small_build):
-        """A pending cycle leaves ``events`` in the cycle it names, so a skip
-        from a later cycle never meets a stale entry."""
+        """A pending cycle leaves ``events`` in the cycle it names, so the
+        clock never passes a stale entry."""
         engine = _idle_engine(small_build)
         engine.state.events.update({3: [0], 5: [1]})
-        engine._skip_to_next_event(1000)
-        assert engine.sched.cycle == 3
-        engine.completion.tick()
-        engine.sched.advance()
+        _step_to(engine, 4)
         assert list(engine.state.events) == [5]  # the entry at 3 is gone
-        engine._skip_to_next_event(1000)
-        assert engine.sched.cycle == 5
+        _step_to(engine, 6)
+        assert engine.state.events == {}
+        assert engine.sched.executed_cycles == 6
 
     def test_rescheduling_after_pop_is_allowed(self, small_build):
-        """A passed cycle leaves nothing pending; a new key is the next
-        skip target."""
+        """A passed cycle leaves nothing pending; a new key is served when
+        the clock reaches it."""
         engine = _idle_engine(small_build)
         engine.state.events[5] = [0]
-        engine._skip_to_next_event(1000)
-        engine.completion.tick()
-        engine.sched.advance()
+        _step_to(engine, 6)
         assert engine.sched.cycle == 6
         assert engine.state.events == {} and engine.state.ready_buckets == {}
         engine.state.events[8] = [1]
-        engine._skip_to_next_event(1000)
-        assert engine.sched.cycle == 8
-
-
-class TestSkipTarget:
-    """The idle clock jumps to the earliest pending cycle: a key of the
-    state's ``events`` or ``ready_buckets``, or a stage-computed wake."""
-
-    @pytest.mark.parametrize("events,buckets,target", [
-        ({9: [0], 7: [1]}, {7: [2], 12: [3]}, 7),
-        ({9: [0]}, {5: [1], 11: [2]}, 5),
-        ({6: [0], 14: [1]}, {}, 6),
-    ], ids=["cycle-in-both-dicts", "bucket-first", "events-only"])
-    def test_skip_lands_on_the_earliest_key(self, small_build, events,
-                                            buckets, target):
-        engine = _idle_engine(small_build)
-        engine.state.events.update(events)
-        engine.state.ready_buckets.update(buckets)
-        engine._skip_to_next_event(1000)
-        assert engine.sched.cycle == target
-        assert engine.sched.skipped_cycles == target
-
-    def test_nothing_pending_raises_at_the_budget(self, small_build):
-        engine = _idle_engine(small_build)
-        with pytest.raises(SimulationError, match="exceeded 40 cycles"):
-            engine._skip_to_next_event(40)
-        assert engine.sched.cycle == 41
-
-    def test_pending_cycles_are_future_whenever_the_clock_skips(
-            self, monkeypatch):
-        skip = TimingEngine._skip_to_next_event
-        skips = []
-
-        def checked(engine, max_cycles):
-            cycle = engine.sched.cycle
-            pending = [*engine.state.events, *engine.state.ready_buckets]
-            assert all(at > cycle for at in pending), (cycle, pending)
-            skips.append(cycle)
-            skip(engine, max_cycles)
-
-        monkeypatch.setattr(TimingEngine, "_skip_to_next_event", checked)
-        OoOCore(ss_2way()).run(_trace(STALL_HEAVY), idle_skip=True)
-        assert skips
+        _step_to(engine, 8)
+        assert list(engine.state.events) == [8]
+        _step_to(engine, 9)
+        assert engine.state.events == {}
 
 
 class TestCycleSkipping:
-    def test_skip_and_step_produce_identical_stats(self):
-        trace = _trace(STALL_HEAVY)
-        stepped = OoOCore(ss_2way()).run(trace, idle_skip=False)
-        core = OoOCore(ss_2way())
-        event_driven = core.run(trace, idle_skip=True)
-        assert stepped.as_dict() == event_driven.as_dict()
-        assert core.engine.sched.skipped_cycles > 0
+    """The clock steps through every cycle and skips none."""
 
     def test_executed_plus_skipped_equals_cycles(self):
         trace = _trace(STALL_HEAVY)
         core = OoOCore(ss_2way())
-        stats = core.run(trace, idle_skip=True)
+        stats = core.run(trace)
         sched = core.engine.sched
+        assert sched.executed_cycles == stats.cycles
+        assert sched.skipped_cycles == 0
         assert sched.executed_cycles + sched.skipped_cycles == stats.cycles
 
-    def test_guardrails_disable_skipping(self):
-        trace = _trace(STALL_HEAVY)
-        suite = GuardrailSuite(ss_2way())
-        core = OoOCore(ss_2way(), guardrails=suite)
-        stats = core.run(trace)
-        assert core.engine.sched.skipped_cycles == 0
-        assert core.engine.sched.executed_cycles == stats.cycles
-
     def test_max_cycles_exceeded_parity(self):
-        """Both modes raise at the same cycle with the same occupancy."""
+        """A plain and an observed run raise at the same cycle with the same
+        occupancy."""
         trace = _trace(STALL_HEAVY)
         payloads = []
-        for idle_skip in (False, True):
+        for observer in (None, ObserverBus([RecordingSink()])):
             core = OoOCore(ss_2way())
             with pytest.raises(SimulationError) as excinfo:
-                core.run(trace, max_cycles=500, idle_skip=idle_skip)
-            payloads.append((excinfo.value.cycle, str(excinfo.value)))
+                core.run(trace, max_cycles=500, observer=observer)
+            payloads.append((excinfo.value.cycle, str(excinfo.value),
+                             excinfo.value.occupancy))
         assert payloads[0] == payloads[1]
         assert payloads[0][0] == 501
 
@@ -219,9 +159,9 @@ class TestCommitPruning:
         probe = _BookkeepingProbe()
         config = ss_2way()
         suite = GuardrailSuite(config, checkers=[probe])
-        core = OoOCore(config, guardrails=suite)
+        core = OoOCore(config)
         trace = _trace(STALL_HEAVY)
-        core.run(trace)
+        core.run(trace, observer=ObserverBus([suite]))
         assert 0 < probe.max_in_flight <= config.rob_entries
         assert 0 < probe.max_waiting <= config.rob_entries
         # Per-instruction state lives in rings of ROB size.
@@ -281,13 +221,3 @@ class TestStatsRegistry:
         registry.contribute("a", ("x",))
         registry.contribute("b", ("y", "z"))
         assert registry.by_owner() == {"a": ["x"], "b": ["y", "z"]}
-
-
-class TestStraightEngineParity:
-    def test_straight_config_skip_parity(self):
-        """The skip invariant holds for the STRAIGHT front end too."""
-        trace = _trace(STALL_HEAVY, label="STRAIGHT-RE+")
-        stepped = OoOCore(straight_2way()).run(trace, idle_skip=False)
-        core = OoOCore(straight_2way())
-        event_driven = core.run(trace, idle_skip=True)
-        assert stepped.as_dict() == event_driven.as_dict()
